@@ -173,8 +173,6 @@ def _capability_tags(spec: registry.ExperimentSpec) -> str:
         tag = f"sweep:{spec.sweep.name}"
         if spec.sweep.replay is not None:
             tag += f" replay:{spec.sweep.replay.kind}"
-        if spec.sweep.batch is not None:
-            tag += " warm"
         tags.append(tag)
     if spec.harness is not None:
         tags.append(f"faults:{spec.harness.name}")
@@ -237,9 +235,6 @@ def _cmd_describe(args) -> int:
         if spec.sweep.replay is not None:
             lines.append("    incremental replay: "
                          f"{spec.sweep.replay.kind} adapter")
-        if spec.sweep.batch is not None:
-            lines.append("    warm batching: construct-once batch "
-                         "adapter (sweep --warm)")
     else:
         lines.append("  sweep: none")
     lines.append("  fault harness: "
@@ -304,10 +299,6 @@ def _format_cache_stats(cache_dir: Optional[str]) -> str:
             f"{p.get('hits_trace', 0)} trace")
         lines.append(f"  recompute seconds saved: "
                      f"{p.get('recompute_seconds_saved', 0.0):.2f}")
-        lines.append(
-            f"  warm batching: {p.get('warm_points', 0)} batched points "
-            f"/ {p.get('warm_restores', 0)} snapshot restores / "
-            f"{p.get('warm_lowering_hits', 0)} lowering-cache hits")
     else:
         lines.append("  lifetime: no sweeps recorded yet")
     return "\n".join(lines)
@@ -383,23 +374,16 @@ def _cmd_sweep(args) -> int:
         print(f"sweep {args.experiment}: empty parameter space")
         return 2
 
-    if args.warm and args.incremental:
-        print("sweep: --warm and --incremental are mutually exclusive",
-              file=sys.stderr)
-        return 2
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    # Incremental and warm sweeps run telemetry-free by construction
-    # (a replayed point has no kernel to observe; a snapshot-eligible
-    # design cannot carry a telemetry hub), so --no-telemetry is
-    # implied for both.
+    # Incremental sweeps run telemetry-free by construction (replayed
+    # points have no kernel to observe), so --no-telemetry is implied.
     result = run_sweep(points, jobs=args.jobs, cache=cache,
                        timeout=args.timeout,
                        telemetry=not (args.no_telemetry
-                                      or args.incremental or args.warm),
-                       incremental=args.incremental,
-                       warm=args.warm)
+                                      or args.incremental),
+                       incremental=args.incremental)
 
     extras = []
     if spec.summarize is not None and result.ok_results:
@@ -591,15 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "analytically (implies --no-telemetry; "
                               "points replay refuses fall back to full "
                               "simulation with the reason recorded)")
-    sweep_p.add_argument("--warm", default=False,
-                         action=argparse.BooleanOptionalAction,
-                         help="construct-once batched execution: group "
-                              "points by structural digest, build each "
-                              "group's design once in persistent warm "
-                              "workers, evaluate every point via kernel "
-                              "snapshot/restore (implies --no-telemetry; "
-                              "byte-identical results, see "
-                              "docs/PERFORMANCE.md)")
     _add_shared_flags(
         sweep_p,
         seed="re-seed the whole sweep space",

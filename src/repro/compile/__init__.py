@@ -38,14 +38,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cache import (CompileCache, compile_cache_stats, process_cache,
-                    reset_compile_cache)
 from .capability import check as check_capability
 from .engine import CompiledEngine
 
-__all__ = ["CompiledEngine", "CompileCache", "check_capability",
-           "try_attach", "process_cache", "compile_cache_stats",
-           "reset_compile_cache"]
+__all__ = ["CompiledEngine", "check_capability", "try_attach"]
 
 
 def try_attach(sim) -> Optional[CompiledEngine]:
@@ -55,26 +51,8 @@ def try_attach(sim) -> Optional[CompiledEngine]:
     ``backend="compiled"`` request.  On ineligibility the reason is
     recorded (``sim.backend_fallback_reason``) and ``None`` is
     returned; the caller proceeds with the threaded kernel.
-
-    Warm sweep sessions stamp ``sim._compile_cache_key`` with their
-    structural digest; for those the per-process :class:`CompileCache`
-    is consulted first, so re-attaching after a snapshot restore or a
-    mid-run detach skips the capability check and the lowering pass.
     """
-    key = sim._compile_cache_key
-    cache = process_cache() if key is not None else None
-    if cache is not None:
-        hit = cache.lookup(key, sim)
-        if hit is not None:
-            schedule, reason = hit
-            if reason is not None:
-                sim._backend_fallback = reason
-                return None
-            engine = CompiledEngine(sim, schedule)
-            sim._engine = engine
-            return engine
     reason = check_capability(sim)
-    schedule = None
     if reason is None:
         from ..design.lower import lower
 
@@ -82,11 +60,9 @@ def try_attach(sim) -> Optional[CompiledEngine]:
             schedule = lower(sim)
         except Exception as exc:  # defensive: lowering must never kill a run
             reason = f"lowering failed: {exc}"
-    if cache is not None:
-        cache.store(key, sim, schedule, reason)
-    if schedule is not None:
-        engine = CompiledEngine(sim, schedule)
-        sim._engine = engine
-        return engine
+        else:
+            engine = CompiledEngine(sim, schedule)
+            sim._engine = engine
+            return engine
     sim._backend_fallback = reason
     return None

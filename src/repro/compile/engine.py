@@ -193,36 +193,6 @@ class CompiledEngine:
         sim._backend_fallback = reason
         record_run("threaded", reason)
 
-    def reset(self) -> None:
-        """Return to the just-attached state (snapshot restore path).
-
-        Unlike :meth:`detach`, nothing is re-subscribed, no skipped
-        cycles are re-credited, and no fallback is recorded: the kernel
-        restore that calls this rewinds wakeup buckets and channel
-        stats through the snapshot base, so the engine only clears its
-        own dispatch state and resumes ticking every channel.  The
-        engine stays attached — the next run reuses the same lowered
-        schedule with no re-attach cost.
-        """
-        for entry in self._parked_map.values():
-            gate = entry[3]
-            if gate is not None:
-                gate._waiters = None
-        self._live.clear()
-        self._live_keys.clear()
-        self._parked_map.clear()
-        self._key_lo = 0
-        self._key_hi = 0
-        self._scan_idx = _NOT_SCANNING
-        ticks = self._ticks
-        for ch, _fn in ticks:
-            if ch is not None:
-                ch._skip_from = None
-                ch._compiled = self
-        self._active = [(idx, ch, fn) for idx, (ch, fn) in enumerate(ticks)]
-        self._active_keys = list(range(len(ticks)))
-        self._thread_count = len(self.sim._threads)
-
     def _settle(self) -> None:
         """Re-credit skipped cycles on still-idle channels at a run
         boundary, so ``stats.cycles`` (hence ``mean_occupancy`` and

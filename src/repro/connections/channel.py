@@ -283,65 +283,6 @@ class FastChannel:
             # engine must resume (and never again skip) their ticks.
             self._compiled._channel_touched(self)
 
-    # ------------------------------------------------------------------
-    # snapshot state protocol (see repro.kernel.snapshot)
-    # ------------------------------------------------------------------
-    def _snapshot_state(self) -> dict:
-        """Everything mutable a restore must rewind (config included:
-        warm sweeps mutate capacity/stall/latency per point and rely on
-        restore to reset them)."""
-        stats = self.stats
-        faults = self._faults
-        return {
-            "capacity": self.capacity,
-            "extra_latency": self.extra_latency,
-            "queue": tuple(self._queue),
-            "transit": tuple(self._transit),
-            "occ_start": self._occ_start,
-            "pushed": self._pushed,
-            "popped": self._popped,
-            "stall_probability": self._stall_probability,
-            "stall_rng": (self._stall_rng.getstate()
-                          if self._stall_rng is not None else None),
-            "stalled": self._stalled,
-            "stats": (stats.transfers, stats.push_attempts,
-                      stats.pop_attempts, stats.push_rejections,
-                      stats.pop_rejections, stats.stall_cycles,
-                      stats.occupancy_sum, stats.cycles),
-            "faults": ((faults, faults._snapshot_state())
-                       if faults is not None else None),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self.extra_latency = state["extra_latency"]
-        self._queue.clear()
-        self._queue.extend(state["queue"])
-        self._transit.clear()
-        self._transit.extend(state["transit"])
-        self._occ_start = state["occ_start"]
-        self._pushed = state["pushed"]
-        self._popped = state["popped"]
-        self._stall_probability = state["stall_probability"]
-        rng_state = state["stall_rng"]
-        if rng_state is None:
-            self._stall_rng = None
-        else:
-            if self._stall_rng is None:
-                self._stall_rng = random.Random()
-            self._stall_rng.setstate(rng_state)
-        self._stalled = state["stalled"]
-        stats = self.stats
-        (stats.transfers, stats.push_attempts, stats.pop_attempts,
-         stats.push_rejections, stats.pop_rejections, stats.stall_cycles,
-         stats.occupancy_sum, stats.cycles) = state["stats"]
-        fault_state = state["faults"]
-        if fault_state is None:
-            self._faults = None
-        else:
-            self._faults = fault_state[0]
-            self._faults._restore_state(fault_state[1])
-
     def add_wake_gate(self, gate) -> None:
         """Register a consumer's :class:`~repro.kernel.Gate`.
 

@@ -26,13 +26,11 @@ from ..design.hierarchy import component_scope
 from ..kernel import Simulator
 from .. import registry
 from ..sweep.point import SweepPoint
-from ..sweep.warm import BatchAdapter, WarmSession
 from ..trace.adapter import ReplayAdapter
 
 __all__ = ["build_li_pipeline", "build_design", "hop_paths",
            "horizon_cycles", "run_point", "format_report", "sweep_space",
-           "run_sweep_point", "summarize_sweep", "REPLAY_ADAPTER",
-           "BATCH_ADAPTER"]
+           "run_sweep_point", "summarize_sweep", "REPLAY_ADAPTER"]
 
 DEFAULT_PERIOD = 10
 DEFAULT_N_MSGS = 80
@@ -51,10 +49,7 @@ class LatencyForwarder:
             self.name = inst.name if inst is not None else name
             self.in_port: In = In(name="in")
             self.out_port: Out = Out(name="out")
-            # Factory-style registration keeps the design snapshot-
-            # eligible (warm batched sweeps re-create the generator on
-            # every restore).
-            sim.add_thread(lambda: self._run(n_msgs), clock, name="ctl")
+            sim.add_thread(self._run(n_msgs), clock, name="ctl")
 
     def _run(self, n_msgs: int) -> Generator:
         for _ in range(n_msgs):
@@ -116,20 +111,12 @@ def build_li_pipeline(*, stages: int, n_msgs: int, capacity: int,
         state["checksum"] = total
         state["completion_cycle"] = clk.cycles
 
-    # Ports are constructed once (inside their component scope); only
-    # the generators are factory-recreated on a snapshot restore.
     with component_scope(sim, "src", kind="StreamSource", clock=clk):
-        src_port = Out(channels[0], name="out")
-        sim.add_thread(lambda: producer(src_port), clk, name="ctl")
+        sim.add_thread(producer(Out(channels[0], name="out")), clk,
+                       name="ctl")
     with component_scope(sim, "snk", kind="StreamSink", clock=clk):
-        snk_port = In(channels[-1], name="in")
-        sim.add_thread(lambda: consumer(snk_port), clk, name="ctl")
-
-    def _reset_state() -> None:
-        state["completion_cycle"] = None
-        state["checksum"] = 0
-
-    sim.on_restore(_reset_state)
+        sim.add_thread(consumer(In(channels[-1], name="in")), clk,
+                       name="ctl")
     return sim, state, channels
 
 
@@ -180,9 +167,15 @@ def _result_record(params: dict, seed: int, *,
     }
 
 
-def _channel_stats(channels: List) -> List[dict]:
-    """Per-channel counter records, shared by every execution path."""
-    return [_channel_record(c.path, {
+def run_point(params: dict, seed: int) -> dict:
+    """Execute one configuration with the full simulator."""
+    sim, state, channels = build_li_pipeline(
+        stages=params["stages"], n_msgs=params["n_msgs"],
+        capacity=params["capacity"],
+        stall_probability=params["stall_probability"], stall_seed=seed,
+        period=params["period"])
+    sim.run(until=(horizon_cycles(params) - 1) * params["period"])
+    stats = [_channel_record(c.path, {
         "transfers": c.stats.transfers,
         "push_attempts": c.stats.push_attempts,
         "pop_attempts": c.stats.pop_attempts,
@@ -192,19 +185,9 @@ def _channel_stats(channels: List) -> List[dict]:
         "occupancy_sum": c.stats.occupancy_sum,
         "cycles": c.stats.cycles,
     }) for c in channels]
-
-
-def run_point(params: dict, seed: int) -> dict:
-    """Execute one configuration with the full simulator."""
-    sim, state, channels = build_li_pipeline(
-        stages=params["stages"], n_msgs=params["n_msgs"],
-        capacity=params["capacity"],
-        stall_probability=params["stall_probability"], stall_seed=seed,
-        period=params["period"])
-    sim.run(until=(horizon_cycles(params) - 1) * params["period"])
     return _result_record(params, seed,
                           completion_cycle=state["completion_cycle"],
-                          channels=_channel_stats(channels))
+                          channels=stats)
 
 
 # ----------------------------------------------------------------------
@@ -263,50 +246,6 @@ REPLAY_ADAPTER = ReplayAdapter(
     capture=_capture_base,
     overrides=_overrides,
     derive=_derive,
-)
-
-
-# ----------------------------------------------------------------------
-# batch adapter: the construct-once map for `sweep --warm`
-# ----------------------------------------------------------------------
-# The warm session is built at the replay adapter's base configuration
-# (one per stage count); each point then re-applies the very mutations
-# a fresh construction would have performed — capacity, stall schedule,
-# clock period — before its first run, which the kernel's snapshot
-# restore rewinds afterwards.  `tests/sweep/test_warm_sweep.py` pins
-# byte-identity against the fresh runner.
-def _batch_build(base_params: dict, base_seed: int) -> "WarmSession":
-    sim, state, channels = build_li_pipeline(
-        stages=base_params["stages"], n_msgs=base_params["n_msgs"],
-        capacity=base_params["capacity"],
-        stall_probability=base_params["stall_probability"],
-        stall_seed=base_seed, period=base_params["period"])
-    return WarmSession(sim=sim, context={"state": state,
-                                         "channels": channels,
-                                         "clock": sim._clocks[0]})
-
-
-def _batch_run(session: "WarmSession", params: dict, seed: int) -> dict:
-    channels = session.context["channels"]
-    for chan in channels:
-        chan.capacity = params["capacity"]
-    if params["stall_probability"] > 0.0:
-        channels[-1].set_stall(params["stall_probability"], seed=seed)
-    session.context["clock"].period = params["period"]
-    session.sim.run(until=(horizon_cycles(params) - 1) * params["period"])
-    state = session.context["state"]
-    return _result_record(params, seed,
-                          completion_cycle=state["completion_cycle"],
-                          channels=_channel_stats(channels))
-
-
-BATCH_ADAPTER = BatchAdapter(
-    safe_params=frozenset({"capacity", "stall_probability", "trial",
-                           "period"}),
-    base_params=_base_params,
-    base_seed=_base_seed,
-    build=_batch_build,
-    run=_batch_run,
 )
 
 
@@ -396,7 +335,6 @@ registry.register(registry.ExperimentSpec(
         runner=run_sweep_point,
         summarize=summarize_sweep,
         replay=REPLAY_ADAPTER,
-        batch=BATCH_ADAPTER,
     ),
     compiled=True,
     order=80,

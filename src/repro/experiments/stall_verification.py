@@ -22,12 +22,10 @@ from ..design.hierarchy import component_scope
 from ..kernel import Simulator
 from .. import registry
 from ..sweep.point import SweepPoint
-from ..sweep.warm import BatchAdapter, WarmSession
 
 __all__ = ["LeakyForwarder", "build_stall_testbench", "stall_campaign",
            "CampaignResult", "format_campaign", "sweep_space",
-           "run_sweep_point", "campaigns_from_sweep", "summarize_sweep",
-           "make_replay_adapter", "BATCH_ADAPTER"]
+           "run_sweep_point", "campaigns_from_sweep", "summarize_sweep"]
 
 #: Defaults shared by the serial campaign and the sweep space, so both
 #: enumerate exactly the same (probability, seed) grid.
@@ -53,15 +51,7 @@ class LeakyForwarder:
             self.out_port: Out = Out(name="out")
             self.forwarded = 0
             self.dropped = 0
-            # Factory-style registration keeps the design snapshot-
-            # eligible (warm batched sweeps re-create the generator on
-            # every restore); the counters rewind via on_restore below.
-            sim.add_thread(lambda: self._run(), clock, name="ctl")
-            sim.on_restore(self._reset_counters)
-
-    def _reset_counters(self) -> None:
-        self.forwarded = 0
-        self.dropped = 0
+            sim.add_thread(self._run(), clock, name="ctl")
 
     def _run(self) -> Generator:
         while True:
@@ -122,15 +112,10 @@ def build_stall_testbench(stall_probability: float = 0.3, seed: int = 100, *,
                 received.append(msg)
             yield
 
-    # Ports are constructed once (inside their component scope); only
-    # the generators are factory-recreated on a snapshot restore.
     with component_scope(sim, "src", kind="StreamSource", clock=clk):
-        src_port = Out(up, name="out")
-        sim.add_thread(lambda: producer(src_port), clk, name="ctl")
+        sim.add_thread(producer(Out(up, name="out")), clk, name="ctl")
     with component_scope(sim, "snk", kind="StreamSink", clock=clk):
-        snk_port = In(down, name="in")
-        sim.add_thread(lambda: consumer(snk_port), clk, name="ctl")
-    sim.on_restore(received.clear)
+        sim.add_thread(consumer(In(down, name="in")), clk, name="ctl")
     return sim, received
 
 
@@ -184,111 +169,6 @@ def run_sweep_point(params: dict, seed: int) -> dict:
                           n_msgs=params["n_msgs"], bug=params["bug"])
     return {"stall_probability": params["stall_probability"],
             "trial": params["trial"], "seed": seed, "detected": detected}
-
-
-# ----------------------------------------------------------------------
-# replay adapter: the *dynamic* fallback showcase
-# ----------------------------------------------------------------------
-# The static classifier accepts these points (only the stall knobs vary
-# between trials), but the capture itself records that this harness is
-# not replayable — LeakyForwarder retries with push_nb and the checker
-# polls with pop_nb, and non-blocking timing races are exactly what
-# analytical replay cannot reconstruct.  `sweep --incremental` therefore
-# captures the base once, reads the recorded reasons, and falls back to
-# full simulation for every point — the honest path an adapter author
-# hits before restructuring a harness around blocking handshakes
-# (compare li_latency, which is this pipeline rebuilt replay-safe).
-def _replay_base_params(params: dict) -> dict:
-    return {**params, "stall_probability": 0.0, "trial": 0}
-
-
-def _replay_base_seed(params: dict, seed: int) -> int:
-    return DEFAULT_BASE_SEED
-
-
-def _replay_capture(base_params: dict, base_seed: int) -> dict:
-    from ..trace.capture import capture
-
-    sim, _ = build_stall_testbench(
-        base_params["stall_probability"], base_seed,
-        n_msgs=base_params["n_msgs"], bug=base_params["bug"])
-    with capture(sim) as session:
-        sim.run(until=base_params["n_msgs"] * 1200)
-    return session.trace
-
-
-def _replay_overrides(params: dict, seed: int) -> dict:
-    channels = {}
-    if params["stall_probability"] > 0.0:
-        channels["down"] = {"stall": [params["stall_probability"], seed]}
-    return {"channels": channels}
-
-
-def _replay_derive(trace: dict, result, params: dict, seed: int) -> dict:
-    from ..trace.replay import ReplayError
-
-    # Unreachable while the harness uses non-blocking ops; kept as a
-    # guard because `detected` depends on message *values* (which the
-    # trace does not carry), so timing replay alone can never serve it.
-    raise ReplayError(
-        "stall_verification records depend on delivered message values, "
-        "which op traces do not capture")
-
-
-def make_replay_adapter():
-    """Built lazily: repro.trace imports must not load at module scope
-    here (the sweep registry imports this module eagerly)."""
-    from ..trace.adapter import ReplayAdapter
-
-    return ReplayAdapter(
-        kind="trace",
-        safe_params=frozenset({"stall_probability", "trial"}),
-        base_params=_replay_base_params,
-        base_seed=_replay_base_seed,
-        capture=_replay_capture,
-        overrides=_replay_overrides,
-        derive=_replay_derive,
-    )
-
-
-# ----------------------------------------------------------------------
-# batch adapter: warm batched execution (`sweep --warm`)
-# ----------------------------------------------------------------------
-# Where analytical replay is impossible for this harness (non-blocking
-# timing races, value-dependent verdicts — see the replay adapter
-# above), warm batching is not: a warm session *re-simulates* every
-# point on the constructed testbench, so the non-blocking ops and
-# message values play out exactly as in a fresh build.  The pair makes
-# the contrast concrete: replay derives results from one recorded run,
-# warm batching amortizes construction across many real runs.
-def _batch_build(base_params: dict, base_seed: int) -> WarmSession:
-    sim, received = build_stall_testbench(
-        base_params["stall_probability"], base_seed,
-        n_msgs=base_params["n_msgs"], bug=base_params["bug"])
-    down = next(chan for inst in sim.design.root.walk()
-                for chan in inst.channels if chan.path == "down")
-    return WarmSession(sim=sim, context={"received": received,
-                                         "down": down})
-
-
-def _batch_run(session: WarmSession, params: dict, seed: int) -> dict:
-    if params["stall_probability"] > 0.0:
-        session.context["down"].set_stall(params["stall_probability"],
-                                          seed=seed)
-    n_msgs = params["n_msgs"]
-    session.sim.run(until=n_msgs * 1200)
-    detected = session.context["received"] != list(range(n_msgs))
-    return {"stall_probability": params["stall_probability"],
-            "trial": params["trial"], "seed": seed, "detected": detected}
-
-
-BATCH_ADAPTER = BatchAdapter(
-    safe_params=frozenset({"stall_probability", "trial"}),
-    base_params=_replay_base_params,
-    base_seed=_replay_base_seed,
-    build=_batch_build,
-    run=_batch_run,
-)
 
 
 def campaigns_from_sweep(results: List[dict]) -> List[CampaignResult]:
@@ -353,11 +233,6 @@ registry.register(registry.ExperimentSpec(
         space=sweep_space,
         runner=run_sweep_point,
         summarize=summarize_sweep,
-        # Statically derivable, dynamically refused: the capture records
-        # the harness's non-blocking ops and every point falls back with
-        # that reason — the recorded-capability path, exercised for real.
-        replay=make_replay_adapter(),
-        batch=BATCH_ADAPTER,
     ),
     compiled=True,
     order=70,

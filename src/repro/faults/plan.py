@@ -139,31 +139,6 @@ class ChannelFaults:
         return {"drops": self.drops, "duplicates": self.duplicates,
                 "corruptions": self.corruptions}
 
-    # -- snapshot state protocol (see repro.kernel.snapshot) -----------
-    def _snapshot_state(self) -> dict:
-        return {
-            "probabilities": (self._drop_p, self._dup_p, self._corrupt_p),
-            "rngs": tuple(rng.getstate() if rng is not None else None
-                          for rng in (self._drop_rng, self._dup_rng,
-                                      self._corrupt_rng)),
-            "corrupter": self._corrupter,
-            "counters": (self.drops, self.duplicates, self.corruptions),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        self._drop_p, self._dup_p, self._corrupt_p = state["probabilities"]
-        rngs = []
-        for rng_state in state["rngs"]:
-            if rng_state is None:
-                rngs.append(None)
-            else:
-                rng = random.Random()
-                rng.setstate(rng_state)
-                rngs.append(rng)
-        self._drop_rng, self._dup_rng, self._corrupt_rng = rngs
-        self._corrupter = state["corrupter"]
-        self.drops, self.duplicates, self.corruptions = state["counters"]
-
 
 class AppliedFaults:
     """Handle returned by :meth:`FaultPlan.apply`.
@@ -295,14 +270,11 @@ class FaultPlan:
         for directive in self.directives:
             if directive.kind in _CLOCK_KINDS:
                 clock = _resolve_clock(sim, directive.target)
-                # Factory-style registration (directives freeze their
-                # sub-seeds, so a re-created injector generator behaves
-                # identically) keeps fault-plan runs snapshot-eligible.
-                run = (_jitter_run if directive.kind == "clock_jitter"
-                       else _drift_run)
+                gen = (_jitter_run(clock, directive)
+                       if directive.kind == "clock_jitter"
+                       else _drift_run(clock, directive))
                 thread = sim.add_thread(
-                    lambda run=run, clock=clock, d=directive: run(clock, d),
-                    clock,
+                    gen, clock,
                     name=f"fault.{directive.kind}.{clock.name}")
                 helpers.add(id(thread))
                 clock_targets.append(directive.target)
@@ -311,8 +283,7 @@ class FaultPlan:
             if directive.kind == "stall_burst":
                 clock = getattr(chan, "clock", None) or _any_clock(sim)
                 thread = sim.add_thread(
-                    lambda chan=chan, d=directive: _stall_burst_run(chan, d),
-                    clock,
+                    _stall_burst_run(chan, directive), clock,
                     name=f"fault.stall.{path}")
                 helpers.add(id(thread))
                 continue

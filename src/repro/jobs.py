@@ -34,14 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from . import registry
 
-__all__ = ["JobRequest", "JobResult", "execute", "execute_warm"]
-
-#: How a job's simulation was produced (see :mod:`repro.sweep.warm`):
-#: ``"fresh"`` — the design was constructed for this job alone;
-#: ``"warm"`` — this job built (and paid for) a reusable warm session;
-#: ``"restored"`` — this job ran on an existing warm session after a
-#: kernel snapshot restore.
-EXECUTIONS = ("fresh", "warm", "restored")
+__all__ = ["JobRequest", "JobResult", "execute"]
 
 #: Request kinds: a whole experiment (the CLI verb's result) vs one
 #: point of its sweep space (the engine's unit of work).
@@ -102,12 +95,9 @@ class JobResult:
     ``text`` the formatter's rendering (``None`` for point jobs —
     sweeps format merged results, not single points).  ``backend`` /
     ``fallback_reason`` record what actually simulated the job, from
-    :func:`repro.kernel.backend.last_run`.  ``execution`` records the
-    construction provenance (one of :data:`EXECUTIONS`): whether the
-    job simulated a freshly built design or reused a warm session.
-    ``session`` (telemetry jobs only) is the live capture session, kept
-    for VCD export; it is excluded from comparison, so equal jobs
-    compare equal.
+    :func:`repro.kernel.backend.last_run`.  ``session`` (telemetry jobs
+    only) is the live capture session, kept for VCD export; it is
+    excluded from comparison, so equal jobs compare equal.
     """
 
     request: JobRequest
@@ -119,17 +109,14 @@ class JobResult:
     wall_seconds: float
     schema: str
     schema_version: int
-    execution: str = "fresh"
     session: Any = field(default=None, repr=False, compare=False)
 
     def provenance(self) -> str:
         """One provenance line: which backend produced this result."""
-        line = f"simulation backend: {self.backend}"
         if self.fallback_reason:
-            line += f" (fallback: {self.fallback_reason})"
-        if self.execution != "fresh":
-            line += f"; execution: {self.execution}"
-        return line
+            return (f"simulation backend: {self.backend} "
+                    f"(fallback: {self.fallback_reason})")
+        return f"simulation backend: {self.backend}"
 
     def canonical_payload(self):
         """The payload as canonical JSON-able data (wall-clock-free)."""
@@ -203,46 +190,4 @@ def execute(request: JobRequest, *,
         schema=schema,
         schema_version=version,
         session=session,
-    )
-
-
-def execute_warm(request: JobRequest, adapter, session, *,
-                 execution: str = "restored") -> JobResult:
-    """Run one point job against a live warm session.
-
-    The warm counterpart of :func:`execute` for ``kind="point"``
-    requests: instead of constructing the design, the point is
-    evaluated by the experiment's :class:`~repro.sweep.warm
-    .BatchAdapter` against ``session`` — a constructed, snapshot-
-    enabled simulation owned by the calling worker (see
-    :mod:`repro.sweep.warm`, which also handles the restore between
-    points).  Backend provenance is read from the session's simulator
-    directly — the ambient :func:`~repro.kernel.backend.last_run`
-    record is one run stale by the time the caller restores.
-
-    ``execution`` stamps the construction provenance: ``"warm"`` for
-    the point that paid for the session build, ``"restored"`` for
-    points served after a snapshot restore.
-    """
-    if request.kind != "point":
-        raise ValueError("warm execution only serves point jobs, "
-                         f"not {request.kind!r}")
-    if execution not in EXECUTIONS:
-        raise ValueError(f"unknown execution {execution!r}; "
-                         f"one of {EXECUTIONS}")
-    t0 = time.perf_counter()
-    payload = adapter.run(session, dict(request.params), request.seed)
-    wall = time.perf_counter() - t0
-    sim = session.sim
-    return JobResult(
-        request=request,
-        payload=payload,
-        text=None,
-        backend=sim.backend,
-        fallback_reason=sim.backend_fallback_reason,
-        telemetry=None,
-        wall_seconds=wall,
-        schema=request.experiment,
-        schema_version=1,
-        execution=execution,
     )

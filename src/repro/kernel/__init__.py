@@ -31,7 +31,6 @@ from .simulator import (
     TimeBudgetExceeded,
     time_budget,
 )
-from .snapshot import Snapshot, SnapshotError
 from .tracing import Trace, WallClock, write_vcd
 
 __all__ = [
@@ -51,8 +50,6 @@ __all__ = [
     "DeltaOverflow",
     "TimeBudgetExceeded",
     "time_budget",
-    "Snapshot",
-    "SnapshotError",
     "BACKENDS",
     "use_backend",
     "default_backend",

@@ -19,7 +19,7 @@ class Signal(Generic[T]):
     """A single driver/multi-reader signal with deferred update."""
 
     __slots__ = ("sim", "name", "_value", "_next", "_dirty", "_watchers",
-                 "_dirty_list", "_owner", "__weakref__")
+                 "_dirty_list", "_owner")
 
     def __init__(self, sim, init: T = 0, name: str = "sig"):
         self.sim = sim
@@ -47,13 +47,6 @@ class Signal(Generic[T]):
         trace = getattr(sim, "trace", None)
         if trace is not None and getattr(trace, "autowatch", False):
             trace.watch(self)
-        # Weak registration so snapshot/restore can enumerate signals
-        # without pinning testbench-local ones (repro.kernel.snapshot).
-        registry = getattr(sim, "_snap_signals", None)
-        if registry is not None:
-            import weakref
-
-            registry.append(weakref.ref(self))
 
     def read(self) -> T:
         """Return the committed value (the value as of the last delta)."""

@@ -115,19 +115,12 @@ class Event:
     in the future.
     """
 
-    __slots__ = ("sim", "name", "_waiters", "__weakref__")
+    __slots__ = ("sim", "name", "_waiters")
 
     def __init__(self, sim: "Simulator", name: str = "event"):
         self.sim = sim
         self.name = name
         self._waiters: list[Thread] = []
-        # Weak registration so snapshot/restore can enumerate events
-        # without pinning testbench-local ones (see .snapshot).
-        registry = getattr(sim, "_snap_events", None)
-        if registry is not None:
-            import weakref
-
-            registry.append(weakref.ref(self))
 
     def notify(self) -> None:
         """Wake every waiting thread in the next delta cycle."""
@@ -192,25 +185,16 @@ class Thread:
     * an :class:`Event` — wait until the event is notified.
 
     Subroutines compose with ``yield from``.
-
-    ``factory`` is the zero-argument callable the generator came from
-    when the thread was registered factory-style (see
-    :meth:`Simulator.add_thread`); snapshot restore re-creates the
-    generator by calling it again.  Threads registered from a raw
-    generator object carry ``factory = None`` and make their simulator
-    snapshot-ineligible (generators cannot be copied).
     """
 
-    __slots__ = ("sim", "gen", "clock", "name", "done", "factory")
+    __slots__ = ("sim", "gen", "clock", "name", "done")
 
-    def __init__(self, sim: "Simulator", gen: Generator, clock, name: str,
-                 factory: Optional[Callable[[], Generator]] = None):
+    def __init__(self, sim: "Simulator", gen: Generator, clock, name: str):
         self.sim = sim
         self.gen = gen
         self.clock = clock
         self.name = name
         self.done = False
-        self.factory = factory
 
     def _resume(self) -> None:
         """Advance the generator to its next wait point."""
@@ -337,21 +321,6 @@ class Simulator:
         self._engine = None          # CompiledEngine once attached
         self._backend_fallback: Optional[str] = None
         self._method_count = 0
-        # Snapshot/restore support (see repro.kernel.snapshot).  The
-        # weak registries let the base capture enumerate signals and
-        # events without pinning testbench-local ones; ``_history``
-        # records every coarse run call so a mid-run snapshot can be
-        # replayed from the base state; ``_snap_base`` is the captured
-        # base (None until enable_snapshots()).
-        self._snap_signals: list = []
-        self._snap_events: list = []
-        self._history: list = []
-        self._restore_hooks: list = []
-        self._snap_base = None
-        # Structural digest stamped by warm sweep sessions so
-        # repro.compile.try_attach can consult the per-process
-        # CompileCache (None = no caching).
-        self._compile_cache_key: Optional[str] = None
 
     # ------------------------------------------------------------------
     # elaboration API
@@ -371,24 +340,13 @@ class Simulator:
         self.design.register_clock(clock)
         return clock
 
-    def add_thread(self, gen, clock, *, name: str = "thread") -> Thread:
-        """Register a clocked thread.
-
-        ``gen`` is either a generator object or a **zero-argument
-        factory** returning one.  The factory form is what makes a
-        design snapshot-eligible (:meth:`enable_snapshots`): generators
-        cannot be copied, so restore re-creates each thread's generator
-        by calling its factory again.  Both forms behave identically
-        otherwise.
+    def add_thread(self, gen: Generator, clock, *, name: str = "thread") -> Thread:
+        """Register a clocked thread from a generator object.
 
         The thread first runs at the first posedge of ``clock`` after
         simulation start.
         """
-        factory = None
-        if callable(gen):
-            factory = gen
-            gen = factory()
-        thread = Thread(self, gen, clock, name, factory)
+        thread = Thread(self, gen, clock, name)
         self._threads.append(thread)
         self.design.register_thread(thread, name)
         if clock is not None:
@@ -457,7 +415,6 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        self._history.append(("run", until, max_steps))
         return self._run(until, max_steps, None, 0)
 
     def run_cycles(self, clock, cycles: int) -> int:
@@ -470,7 +427,6 @@ class Simulator:
         """
         if cycles <= 0:
             return self.now
-        self._history.append(("run_cycles", self._clocks.index(clock), cycles))
         target = clock.cycles + cycles
         # Sentinel wakeup bucket: gives the idle-skip an exact horizon,
         # so even a clock with no waiters executes its target edge.
@@ -710,51 +666,6 @@ class Simulator:
             return None
         self._delta_loop()  # commit stray writes before the first edge
         return engine.run(until, max_steps, stop_clock, stop_cycles)
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (see repro.kernel.snapshot)
-    # ------------------------------------------------------------------
-    def enable_snapshots(self) -> None:
-        """Capture the pre-run base state; must precede the first run.
-
-        Validates eligibility (factory-registered threads, channels
-        with the state protocol, no instrumentation) and raises
-        :class:`~repro.kernel.snapshot.SnapshotError` listing every
-        blocking construct otherwise.
-        """
-        from .snapshot import enable
-
-        enable(self)
-
-    def snapshot(self):
-        """Return a :class:`~repro.kernel.snapshot.Snapshot` of the
-        current simulation state (auto-enables if called before the
-        first run)."""
-        from .snapshot import capture
-
-        return capture(self)
-
-    def restore(self, snap) -> None:
-        """Rewind this simulator to ``snap``'s state.
-
-        Resets every kernel object to the captured base, runs the
-        :meth:`on_restore` hooks, then deterministically replays the
-        run calls recorded up to the snapshot.
-        """
-        from .snapshot import restore
-
-        restore(self, snap)
-
-    def on_restore(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked on every :meth:`restore`, after
-        kernel state is reset and before the run replay — the place to
-        clear harness/testbench state the kernel cannot see (result
-        lists, component counters)."""
-        self._restore_hooks.append(hook)
-
-    @property
-    def snapshots_enabled(self) -> bool:
-        return self._snap_base is not None
 
     # ------------------------------------------------------------------
     # introspection

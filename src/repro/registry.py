@@ -90,13 +90,6 @@ class SweepSpec:
     semantic map from sweep points to captured traces and back.
     Experiments without one still work incrementally — every point just
     falls back to full simulation with the reason recorded.
-
-    ``batch``, when set, opts the experiment into warm batched sweeps
-    (``run_sweep(..., warm=True)``): it carries the construct-once map —
-    build one snapshot-eligible session per structural base, then
-    evaluate every point against it via mutate/run/restore.  Experiments
-    without one still accept ``--warm``; every point falls back to a
-    fresh per-point simulation with the reason recorded.
     """
 
     name: str
@@ -105,7 +98,6 @@ class SweepSpec:
     runner: Callable[[dict, int], dict]
     summarize: Optional[Callable[[List[dict]], str]] = None
     replay: Optional[Any] = None  # repro.trace.adapter.ReplayAdapter
-    batch: Optional[Any] = None   # repro.sweep.warm.BatchAdapter
 
 
 @dataclass(frozen=True)
@@ -173,8 +165,6 @@ class ExperimentSpec:
             "sweep": self.sweep.name if self.sweep else None,
             "replay": (getattr(self.sweep.replay, "kind", None)
                        if self.sweep and self.sweep.replay else None),
-            "warm": bool(self.sweep is not None
-                         and self.sweep.batch is not None),
             "harness": (getattr(self.harness, "name", None)
                         if self.harness else None),
             "compiled": self.compiled,

@@ -45,7 +45,6 @@ from .serialize import (
     dump_json,
     to_jsonable,
 )
-from .warm import BatchAdapter, WarmSession
 
 __all__ = [
     "SweepPoint",
@@ -53,8 +52,6 @@ __all__ = [
     "SweepResult",
     "PointOutcome",
     "PointTimeout",
-    "BatchAdapter",
-    "WarmSession",
     "ResultCache",
     "CacheStats",
     "default_cache_dir",

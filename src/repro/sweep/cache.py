@@ -45,7 +45,7 @@ import pathlib
 import subprocess
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 try:  # POSIX only; Windows falls back to lock-free best effort
     import fcntl
@@ -55,7 +55,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from .point import SweepPoint
 from .serialize import canonical_digest
 
-__all__ = ["CacheStats", "ResultCache", "default_cache_dir", "repo_rev"]
+__all__ = ["CacheHit", "CacheStats", "ResultCache", "default_cache_dir",
+           "repo_rev"]
 
 SCHEMA = "repro-sweep-cache/2"
 
@@ -65,8 +66,7 @@ MODES = ("exact", "derived", "trace")
 #: Cumulative counters persisted to ``<root>/_stats.json``.
 _PERSISTED = ("hits", "misses", "puts", "evictions", "corrupt_dropped",
               "hits_exact", "hits_derived", "hits_trace",
-              "recompute_seconds_saved",
-              "warm_points", "warm_restores", "warm_lowering_hits")
+              "recompute_seconds_saved")
 
 _REV_CACHE: dict = {}
 
@@ -119,13 +119,6 @@ class CacheStats:
     #: Sum of the stored recompute cost of every hit — the wall-clock
     #: seconds this cache instance saved its callers.
     recompute_seconds_saved: float = 0.0
-    #: Warm batched-sweep accounting (see :mod:`repro.sweep.warm`),
-    #: credited by the engine after every ``warm=True`` run so
-    #: ``repro stats --cache`` reports batch effectiveness alongside
-    #: cache effectiveness.
-    warm_points: int = 0
-    warm_restores: int = 0
-    warm_lowering_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -134,6 +127,14 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+class CacheHit(dict):
+    """A stored payload, tagged with the entry ``mode`` that served it."""
+
+    def __init__(self, value: dict, mode: str):
+        super().__init__(value)
+        self.mode = mode
 
 
 @dataclass
@@ -183,49 +184,54 @@ class ResultCache:
         return pathlib.Path(self.root) / f"{key}.json"
 
     # -- lookup / store ------------------------------------------------
-    def get(self, point: SweepPoint, *, mode: str = "exact",
-            require=None) -> Optional[dict]:
+    def get(self, point: SweepPoint, *,
+            mode: Union[str, Tuple[str, ...]] = "exact",
+            require=None) -> Optional[CacheHit]:
         """The stored payload for ``point``, or ``None`` on a miss.
 
-        A hit refreshes the entry's LRU clock and credits the entry's
-        stored recompute cost to ``stats.recompute_seconds_saved``.
-        Unreadable or schema-mismatched entries are unlinked and counted
-        as misses.  ``require`` is an optional predicate on the payload:
-        a stored value that fails it is a *miss* (the entry stays on
-        disk and is not credited as saved work) — the engine uses this
-        so a telemetry-less entry can never satisfy a telemetry-enabled
-        sweep.
+        ``mode`` is one entry mode or a tuple of modes tried in order;
+        either way the call is **one** logical lookup, counted as
+        exactly one hit (credited to the mode that served it, which the
+        returned :class:`CacheHit` also carries) or one miss.  A hit
+        refreshes the entry's LRU clock and credits the entry's stored
+        recompute cost to ``stats.recompute_seconds_saved``.
+        Unreadable or schema-mismatched entries are unlinked and
+        counted in ``stats.corrupt_dropped``.  ``require`` is an
+        optional predicate on the payload: a stored value that fails it
+        is skipped (the entry stays on disk and is not credited as
+        saved work) — the engine uses this so a telemetry-less entry
+        can never satisfy a telemetry-enabled sweep.
         """
-        path = self._path(self.key_for(point, mode=mode))
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            if entry.get("schema") != SCHEMA or "value" not in entry:
-                raise ValueError("cache entry schema mismatch")
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError):
-            path.unlink(missing_ok=True)
-            self.stats.corrupt_dropped += 1
-            self.stats.misses += 1
-            return None
-        if require is not None and not require(entry["value"]):
-            self.stats.misses += 1
-            return None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
-        self.stats.hits += 1
-        setattr(self.stats, f"hits_{mode}",
-                getattr(self.stats, f"hits_{mode}") + 1)
-        try:
-            self.stats.recompute_seconds_saved += float(
-                entry.get("cost", 0.0))
-        except (TypeError, ValueError):
-            pass
-        return entry["value"]
+        for one in ((mode,) if isinstance(mode, str) else mode):
+            path = self._path(self.key_for(point, mode=one))
+            try:
+                with open(path) as fh:
+                    entry = json.load(fh)
+                if entry.get("schema") != SCHEMA or "value" not in entry:
+                    raise ValueError("cache entry schema mismatch")
+            except FileNotFoundError:
+                continue
+            except (OSError, ValueError):
+                path.unlink(missing_ok=True)
+                self.stats.corrupt_dropped += 1
+                continue
+            if require is not None and not require(entry["value"]):
+                continue
+            try:
+                os.utime(path)  # LRU touch
+            except OSError:
+                pass
+            self.stats.hits += 1
+            setattr(self.stats, f"hits_{one}",
+                    getattr(self.stats, f"hits_{one}") + 1)
+            try:
+                self.stats.recompute_seconds_saved += float(
+                    entry.get("cost", 0.0))
+            except (TypeError, ValueError):
+                pass
+            return CacheHit(entry["value"], one)
+        self.stats.misses += 1
+        return None
 
     def put(self, point: SweepPoint, value: dict, *, mode: str = "exact",
             cost: float = 0.0) -> str:
@@ -414,9 +420,6 @@ class ResultCache:
             "hits_derived": self.stats.hits_derived,
             "hits_trace": self.stats.hits_trace,
             "recompute_seconds_saved": self.stats.recompute_seconds_saved,
-            "warm_points": self.stats.warm_points,
-            "warm_restores": self.stats.warm_restores,
-            "warm_lowering_hits": self.stats.warm_lowering_hits,
         }
         if deep:
             by_mode = {mode: 0 for mode in MODES}

@@ -1,31 +1,31 @@
-"""The sweep engine: execute SweepPoints serially or across a process pool.
+"""The sweep engine: one pipeline, classify → execute → merge.
 
-Execution model
----------------
-1. Every point is first resolved against the result cache (when one is
-   given); hits never touch a worker.
-2. Remaining points are packed into chunks and executed — in-process
-   for ``jobs <= 1``, across a ``ProcessPoolExecutor`` otherwise.  A
-   chunk is one pool task: for short simulation points the per-task
-   dispatch overhead would otherwise dominate.
-3. Inside the worker each point runs under a SIGALRM watchdog
-   (``timeout`` seconds) and inside its own telemetry capture window,
-   so a wedged simulation dies with a ``PointTimeout`` instead of
-   sinking the sweep, and the per-point telemetry report travels back
-   with the result.
-4. Failed points (exception, timeout, or a crashed worker process that
-   took its whole chunk down) are retried once (``retries``), each in
-   its own single-point chunk.  A point that fails again is recorded as
-   an ``error`` outcome; the rest of the sweep is unaffected.
-5. Outcomes are reassembled **in point order**, so the merged report is
-   identical in content to a serial run regardless of which worker
-   finished first.
+1. **Classify.**  Every point gets one logical cache lookup (exact
+   entries, plus derived ones for an ``incremental`` sweep) and then
+   one label: *cached*; *derived* — a member of a trace-replay group,
+   or an analytic evaluation for an experiment with no kernel; or
+   *simulate*, with the reason it could not be derived.
+2. **Execute.**  Incremental sweeps first capture one full simulation
+   per structural base (trace-cache fronted) and replay every group
+   member analytically in this process; a refused replay demotes its
+   point to *simulate* with the reason recorded.  Then the *simulate*
+   set runs as one batch through the job core — in-process for
+   ``jobs <= 1``, otherwise as chunks on a ``ProcessPoolExecutor``,
+   each point under a SIGALRM watchdog (``timeout`` seconds) and in
+   its own telemetry capture window.  Failed points (exception,
+   timeout, or a crashed worker that took its chunk down) are retried
+   (``retries``), each in its own single-point chunk; a point that
+   fails again is recorded as an ``error`` outcome.
+3. **Merge.**  One loop builds every :class:`PointOutcome` **in point
+   order** and writes the cache, so the result is identical in content
+   to a serial run regardless of which worker finished first.
 
 Determinism: the engine never invents randomness.  Seeds live in the
 points (assigned by the space builders), telemetry labels are derived
 from point indices, and ``SweepResult.canonical()`` strips the only
 nondeterministic fields (wall-clock times) — two runs of the same sweep
-are bit-identical under it, whether serial, parallel, or cache-served.
+are bit-identical under it, whether serial, parallel, cache-served or
+incremental (which matches a plain ``telemetry=False`` sweep).
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cache import ResultCache
+from .cache import CacheHit, ResultCache
 from .point import SweepPoint
 from .serialize import NONDETERMINISTIC_FIELDS, canonical_json
 
@@ -132,6 +132,31 @@ def _run_chunk(items: Sequence[Tuple[int, SweepPoint]], telemetry: bool,
     return out
 
 
+def _capture_chunk(items: Sequence[Tuple[str, SweepPoint]],
+                   timeout: Optional[float]) -> List[dict]:
+    """Worker entry point: capture the trace of each structural base.
+
+    ``items`` are ``(group id, base point)`` pairs; the replay adapter
+    is re-resolved from the registry by experiment name so only plain
+    data crosses the process boundary.
+    """
+    from ..trace.adapter import adapter_for
+
+    out = []
+    for gid, base in items:
+        t0 = time.perf_counter()
+        try:
+            adapter = adapter_for(base.experiment)
+            with _alarm(timeout):
+                trace = adapter.capture(dict(base.params), base.seed)
+            out.append({"index": gid, "ok": True, "trace": trace,
+                        "wall_seconds": time.perf_counter() - t0})
+        except Exception as exc:  # noqa: BLE001 - reported per capture
+            out.append({"index": gid, "ok": False,
+                        "error": f"{type(exc).__name__}: {exc}"})
+    return out
+
+
 @dataclass
 class PointOutcome:
     """What happened to one point: executed, cache-served, or failed."""
@@ -147,14 +172,8 @@ class PointOutcome:
     #: How the result was produced: "exact" (full simulation, or a
     #: cached one) vs "derived" (trace replay / analytic evaluation).
     mode: str = "exact"
-    #: Construction provenance (see :data:`repro.jobs.EXECUTIONS`):
-    #: "fresh" (design built for this point), "warm" (this point built
-    #: a reusable warm session), or "restored" (evaluated on a warm
-    #: session after a kernel snapshot restore).
-    execution: str = "fresh"
-    #: For incremental/warm sweeps only: why this point could not be
-    #: derived (or warm-batched) and fell back to a full simulation
-    #: (None when it didn't).
+    #: For incremental sweeps only: why this point could not be
+    #: derived and fell back to a full simulation (None when it didn't).
     fallback_reason: Optional[str] = None
 
 
@@ -179,16 +198,6 @@ class SweepResult:
     captures: int = 0
     #: reason -> count for points that fell back to full simulation.
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
-    warm: bool = False
-    #: Structural groups dispatched to warm workers this run.
-    warm_groups: int = 0
-    #: Points evaluated on a warm session (execution "warm"/"restored").
-    warm_points: int = 0
-    #: Kernel snapshot restores performed by warm workers.
-    restores: int = 0
-    #: Compiled-engine re-attaches served from the per-process
-    #: CompileCache (lowering passes skipped) inside warm workers.
-    lowering_cache_hits: int = 0
 
     @property
     def points(self) -> List[SweepPoint]:
@@ -234,11 +243,6 @@ class SweepResult:
             traffic = (f"{self.cache_hits} cached / {self.derived} derived"
                        f" / {self.executed} simulated"
                        f" (+{self.captures} captures)")
-        if self.warm:
-            traffic = (f"{self.cache_hits} cached / {self.warm_points} warm"
-                       f" ({self.warm_groups} groups, {self.restores} "
-                       f"restores) / "
-                       f"{self.executed - self.warm_points} fresh")
         parts = [f"sweep {self.experiment}: {len(self.outcomes)} points",
                  traffic + (f" / {self.errors} errors" if self.errors
                             else ""),
@@ -263,16 +267,10 @@ class SweepResult:
             "derived": self.derived,
             "captures": self.captures,
             "fallback_reasons": self.fallback_reasons,
-            "warm": self.warm,
-            "warm_groups": self.warm_groups,
-            "warm_points": self.warm_points,
-            "restores": self.restores,
-            "lowering_cache_hits": self.lowering_cache_hits,
             "points": [o.point.identity() for o in self.outcomes],
             "results": self.results,
             "statuses": [o.status for o in self.outcomes],
             "modes": [o.mode for o in self.outcomes],
-            "executions": [o.execution for o in self.outcomes],
             "telemetry": [r for o in self.outcomes
                           for r in (o.telemetry or ())],
         }
@@ -287,26 +285,26 @@ def _chunked(items: List[Tuple[int, SweepPoint]], jobs: int,
     return [items[i:i + chunksize] for i in range(0, len(items), chunksize)]
 
 
-def _execute_batch(items: List[Tuple[int, SweepPoint]], *, jobs: int,
-                   telemetry: bool, timeout: Optional[float],
-                   chunksize: Optional[int]) -> Dict[int, dict]:
-    """Execute (index, point) pairs; returns raw payloads keyed by index.
+def _run_chunks(fn: Callable[..., List[dict]], chunks: List[list],
+                jobs: int, *args) -> dict:
+    """Run ``fn(chunk, *args)`` over every chunk; records keyed by index.
 
-    Worker-process crashes surface as ``BrokenProcessPool`` on every
-    outstanding future of that pool; the affected points are returned as
-    failed payloads so the caller's retry pass can re-run them — a fresh
-    pool is created per batch, so one crash never poisons the retry.
+    ``fn`` returns one record per ``(index, item)`` pair of its chunk,
+    per-item failures caught as data.  Chunks run in this process for
+    ``jobs <= 1`` or a single item, otherwise as one task each on a
+    fresh ``ProcessPoolExecutor`` — fresh per batch, so one crash never
+    poisons the retry.  A worker crash surfaces as ``BrokenProcessPool``
+    on every outstanding future of that pool; the affected items come
+    back as failed records for the caller's retry or fallback.
     """
-    raw: Dict[int, dict] = {}
-    if not items:
+    raw: dict = {}
+    if jobs <= 1 or sum(len(chunk) for chunk in chunks) <= 1:
+        for chunk in chunks:
+            for rec in fn(chunk, *args):
+                raw[rec.pop("index")] = rec
         return raw
-    if jobs <= 1 or len(items) == 1:
-        for rec in _run_chunk(items, telemetry, timeout):
-            raw[rec.pop("index")] = rec
-        return raw
-    chunks = _chunked(items, jobs, chunksize)
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        futures = [(pool.submit(_run_chunk, chunk, telemetry, timeout), chunk)
+        futures = [(pool.submit(fn, chunk, *args), chunk)
                    for chunk in chunks]
         for future, chunk in futures:
             try:
@@ -324,291 +322,111 @@ def _execute_batch(items: List[Tuple[int, SweepPoint]], *, jobs: int,
     return raw
 
 
-def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
-              cache: Optional[ResultCache] = None,
-              timeout: Optional[float] = None, retries: int = 1,
-              telemetry: bool = True,
-              chunksize: Optional[int] = None,
-              incremental: bool = False,
-              warm: bool = False) -> SweepResult:
-    """Execute a parameter sweep; returns ordered outcomes + accounting.
+def _execute_batch(items: List[Tuple[int, SweepPoint]], *, jobs: int,
+                   telemetry: bool, timeout: Optional[float],
+                   chunksize: Optional[int]) -> Dict[int, dict]:
+    """Execute (index, point) pairs; returns raw payloads keyed by index."""
+    return _run_chunks(_run_chunk, _chunked(items, jobs, chunksize), jobs,
+                       telemetry, timeout)
 
-    ``jobs`` is the worker-process count (``<=1`` = in this process),
-    ``cache`` fronts execution with the content-addressed result store,
-    ``timeout`` is the per-point wall-clock budget in seconds, and
-    ``retries`` is how many times a failed point is re-run before being
-    recorded as an error.
 
-    With ``incremental`` the engine partitions the space into structural
-    bases and derivable satellites using the experiment's registered
-    :class:`~repro.trace.adapter.ReplayAdapter`: one full simulation is
-    captured per base (process pool), every satellite is replayed
-    analytically in-process, and any point the capability check or the
-    replayer refuses falls back to a full simulation with its reason
-    recorded in ``SweepResult.fallback_reasons``.  Incremental sweeps
-    run with telemetry off (a replayed point has no kernel to observe;
-    mixing instrumented and derived records would make the merged
-    report lie), so their canonical form matches a plain
-    ``telemetry=False`` sweep.
+def _classify(points: List[SweepPoint], cache: Optional[ResultCache],
+              adapter, *, incremental: bool, telemetry: bool):
+    """Step 1: one logical cache lookup per point, then one label.
 
-    With ``warm`` the engine instead groups pending points by
-    structural digest and dispatches each group as a batch to
-    persistent warm workers, which construct the design once per group
-    and evaluate every point via the kernel's snapshot/restore
-    primitive (:mod:`repro.sweep.warm`).  Results are byte-identical
-    under :meth:`SweepResult.canonical`; like ``incremental``, warm
-    sweeps run telemetry-off (a snapshot-eligible design cannot carry
-    a telemetry hub).  ``warm`` and ``incremental`` are mutually
-    exclusive.
+    Returns ``(hits, groups, simulate)``: the *cached* points' hits by
+    index; the replay groups (group id -> base point + ``(index,
+    point)`` members) whose points are *derived* by trace replay; and
+    the points to execute through the job core, index -> fallback
+    reason.  The reason is ``None`` for a plain sweep and for an
+    analytic evaluation, which executes like a simulation but is
+    accounted as derived.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("run_sweep needs at least one SweepPoint")
-    if warm and incremental:
-        raise ValueError("warm and incremental sweeps are mutually "
-                         "exclusive — a warm session re-simulates, a "
-                         "replay never constructs a kernel")
-    if warm:
-        return _run_warm(points, jobs=jobs, cache=cache, timeout=timeout,
-                         retries=retries, chunksize=chunksize)
-    if incremental:
-        return _run_incremental(points, jobs=jobs, cache=cache,
-                                timeout=timeout, retries=retries,
-                                chunksize=chunksize)
-    experiment = points[0].experiment
-    t0 = time.perf_counter()
+    from ..trace.adapter import classify
 
     # A telemetry-enabled sweep must not be served by telemetry-less
     # entries (the merged report would silently lose those points); the
     # predicate makes them honest misses.  In the mirror case the
     # stored telemetry is stripped so a cache hit is indistinguishable
-    # from a fresh telemetry=False execution.
+    # from a fresh telemetry=False execution.  Exact entries come
+    # first: they are authoritative and never shadowed by derived ones.
     require = (lambda value: value.get("telemetry") is not None) \
         if telemetry else None
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit = cache.get(point, require=require) if cache is not None \
-            else None
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"),
-                telemetry=hit.get("telemetry") if telemetry else None,
-                wall_seconds=0.0, attempts=0)
-        else:
-            pending.append((i, point))
-
-    raw = _execute_batch(pending, jobs=jobs, telemetry=telemetry,
-                         timeout=timeout, chunksize=chunksize)
-    attempts = {i: 1 for i, _ in pending}
-    retried = 0
-    for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in pending if not raw[i]["ok"]]
-        if not failed:
-            break
-        retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=telemetry,
-                                   timeout=timeout, chunksize=1)
-        for i, rec in retry_raw.items():
-            attempts[i] += 1
-            if rec["ok"] or not raw[i]["ok"]:
-                raw[i] = rec
-
-    executed = errors = 0
-    for i, point in pending:
-        rec = raw[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                telemetry=rec.get("telemetry"),
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i])
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": rec.get("telemetry")},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error",
-                error=rec.get("error", "unknown failure"),
-                attempts=attempts[i])
-
-    result = SweepResult(
-        experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        cache=cache.describe() if cache is not None else None,
-    )
-    if cache is not None:
-        cache.flush_stats()
-    return result
-
-
-def _capture_chunk(tasks: Sequence[tuple],
-                   timeout: Optional[float]) -> List[dict]:
-    """Worker entry point: capture structural-base traces.
-
-    ``tasks`` are ``(gid, experiment, base_params, base_seed)`` tuples;
-    the replay adapter is re-resolved from the registry by experiment
-    name so only plain data crosses the process boundary.
-    """
-    from ..trace.adapter import adapter_for
-
-    out = []
-    for gid, experiment, base_params, base_seed in tasks:
-        t0 = time.perf_counter()
-        try:
-            adapter = adapter_for(experiment)
-            with _alarm(timeout):
-                trace = adapter.capture(dict(base_params), base_seed)
-            out.append({"gid": gid, "ok": True, "trace": trace,
-                        "wall_seconds": time.perf_counter() - t0})
-        except Exception as exc:  # noqa: BLE001 - reported per capture
-            out.append({"gid": gid, "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"})
-    return out
-
-
-def _run_captures(tasks: List[tuple], *, jobs: int,
-                  timeout: Optional[float]) -> Dict[str, dict]:
-    """Run base captures, one pool task each; records keyed by gid."""
-    recs: List[dict] = []
-    if not tasks:
-        return {}
-    if jobs <= 1 or len(tasks) == 1:
-        recs = _capture_chunk(tasks, timeout)
-    else:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks))) as pool:
-            futures = [(pool.submit(_capture_chunk, [task], timeout), task)
-                       for task in tasks]
-            for future, task in futures:
-                try:
-                    recs.extend(future.result())
-                except BrokenProcessPool:
-                    recs.append({"gid": task[0], "ok": False,
-                                 "error": "BrokenProcessPool: "
-                                          "worker crashed"})
-                except Exception as exc:  # noqa: BLE001
-                    recs.append({"gid": task[0], "ok": False,
-                                 "error": f"{type(exc).__name__}: {exc}"})
-    return {rec["gid"]: rec for rec in recs}
-
-
-def _run_incremental(points: List[SweepPoint], *, jobs: int,
-                     cache: Optional[ResultCache],
-                     timeout: Optional[float], retries: int,
-                     chunksize: Optional[int]) -> SweepResult:
-    """The ``incremental=True`` engine: capture bases, replay satellites.
-
-    Partition order (see the tentpole walk-through in
-    ``docs/INCREMENTAL_SIM.md``):
-
-    1. cache pass — exact entries first (they are authoritative and can
-       never be shadowed by derived ones), then derived entries;
-    2. static classification via :func:`repro.trace.adapter.classify`;
-    3. one captured full simulation per structural base, trace-cache
-       fronted, across the process pool;
-    4. in-process analytical replay for every satellite — a replay the
-       trace's recorded capability or the replayer's soundness guards
-       refuse demotes the point to the fallback set with its reason;
-    5. the fallback set runs as a normal full-simulation batch.
-    """
-    from ..jobs import JobRequest
-    from ..jobs import execute as execute_job
-    from ..registry import get_sweep
-    from ..trace.adapter import classify
-    from ..trace.replay import ReplayError, Replayer
-
-    experiment = points[0].experiment
-    if any(p.experiment != experiment for p in points):
-        raise ValueError("incremental sweeps require a single experiment")
-    spec = get_sweep(experiment)
-    adapter = spec.replay
-    t0 = time.perf_counter()
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit, mode = None, "exact"
-        if cache is not None:
-            hit = cache.get(point)
-            if hit is None:
-                hit, mode = cache.get(point, mode="derived"), "derived"
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"), telemetry=None, mode=mode)
-        else:
-            pending.append((i, point))
-
-    structural: List[Tuple[int, SweepPoint, str]] = []
-    analytic: List[Tuple[int, SweepPoint]] = []
+    modes = ("exact", "derived") if incremental else "exact"
+    analytic = adapter is not None and adapter.kind == "analytic"
+    hits: Dict[int, CacheHit] = {}
     groups: Dict[str, dict] = {}
-    for i, point in pending:
+    simulate: Dict[int, Optional[str]] = {}
+    for i, point in enumerate(points):
+        hit = cache.get(point, mode=modes, require=require) \
+            if cache is not None else None
+        if hit is not None:
+            hits[i] = hit
+            continue
+        if not incremental or analytic:
+            simulate[i] = None
+            continue
         mode, reason, bparams, bseed = classify(
             adapter, dict(point.params), point.seed)
         if mode == "structural":
-            structural.append((i, point, reason))
-        elif adapter.kind == "analytic":
-            analytic.append((i, point))
-        else:
-            gid = canonical_json({"experiment": experiment,
-                                  "params": bparams, "seed": bseed})
-            group = groups.setdefault(
-                gid, {"base_params": bparams, "base_seed": bseed,
-                      "members": []})
-            group["members"].append((i, point))
+            simulate[i] = reason
+            continue
+        gid = canonical_json({"experiment": point.experiment,
+                              "params": bparams, "seed": bseed})
+        group = groups.setdefault(gid, {
+            "base": SweepPoint(point.experiment, bparams, seed=bseed),
+            "members": []})
+        group["members"].append((i, point))
+    return hits, groups, simulate
 
-    # One capture per structural base, trace-cache fronted.  Ineligible
-    # traces are cached too: the recorded reasons are stable for a
-    # given base, so a warm sweep skips straight to the fallback.
-    captures: Dict[str, dict] = {}
-    need: List[tuple] = []
+
+def _replay_groups(groups: Dict[str, dict], adapter,
+                   simulate: Dict[int, Optional[str]], *,
+                   cache: Optional[ResultCache], jobs: int,
+                   timeout: Optional[float]) -> Tuple[Dict[int, dict], int]:
+    """Step 2a: capture each group's base once, replay every member.
+
+    Captures are trace-cache fronted and run through the same pool as
+    point execution.  Ineligible traces are cached too: the recorded
+    reasons are stable for a given base, so a rerun skips straight to
+    the fallback.  A failed or ineligible capture, and a replay the
+    replayer refuses, demotes the point to ``simulate`` with its
+    reason.  Returns the replayed records by index and the number of
+    captures run.
+    """
+    from ..trace.replay import ReplayError, Replayer
+
+    traces: Dict[str, dict] = {}
+    need: List[Tuple[str, SweepPoint]] = []
     for gid, group in groups.items():
-        group["base_point"] = SweepPoint(
-            experiment, group["base_params"], seed=group["base_seed"])
-        hit = cache.get(group["base_point"], mode="trace") \
+        hit = cache.get(group["base"], mode="trace") \
             if cache is not None else None
         if hit is not None:
-            captures[gid] = {"ok": True, "trace": hit["trace"],
-                             "wall_seconds": 0.0}
+            traces[gid] = {"ok": True, "trace": hit["trace"]}
         else:
-            need.append((gid, experiment, dict(group["base_params"]),
-                         group["base_seed"]))
-    captures.update(_run_captures(need, jobs=jobs, timeout=timeout))
-    captures_run = sum(1 for gid, _, _, _ in need
-                       if captures.get(gid, {}).get("ok"))
+            need.append((gid, group["base"]))
+    captured = _run_chunks(_capture_chunk, [[item] for item in need], jobs,
+                           timeout)
     if cache is not None:
-        for gid, _, _, _ in need:
-            rec = captures.get(gid)
-            if rec is not None and rec["ok"]:
-                cache.put(groups[gid]["base_point"],
-                          {"trace": rec["trace"]}, mode="trace",
-                          cost=rec.get("wall_seconds", 0.0))
+        for gid, base in need:
+            rec = captured[gid]
+            if rec["ok"]:
+                cache.put(base, {"trace": rec["trace"]}, mode="trace",
+                          cost=rec["wall_seconds"])
+    traces.update(captured)
 
-    derived_count = 0
+    raw: Dict[int, dict] = {}
     for gid, group in groups.items():
-        rec = captures.get(gid, {"ok": False, "error": "capture missing"})
+        rec = traces[gid]
+        trace = rec.get("trace") or {}
+        reason = None
         if not rec["ok"]:
             reason = f"capture failed: {rec.get('error', 'unknown')}"
-            structural.extend((i, p, reason) for i, p in group["members"])
-            continue
-        trace = rec["trace"]
-        if not trace.get("eligible", False):
+        elif not trace.get("eligible", False):
             reason = ("capture ineligible: "
                       + "; ".join(trace.get("reasons") or ["unrecorded"]))
-            structural.extend((i, p, reason) for i, p in group["members"])
+        if reason is not None:
+            simulate.update((i, reason) for i, _ in group["members"])
             continue
         # One precompiled evaluator per base: the trace is parsed once
         # and identical channel-override signatures (e.g. period-only
@@ -619,328 +437,144 @@ def _run_incremental(points: List[SweepPoint], *, jobs: int,
             try:
                 res = adapter.derive(
                     trace,
-                    replayer.replay(
-                        adapter.overrides(dict(point.params),
-                                          point.seed)),
+                    replayer.replay(adapter.overrides(dict(point.params),
+                                                      point.seed)),
                     dict(point.params), point.seed)
             except ReplayError as exc:
-                structural.append((i, point, f"replay refused: {exc}"))
+                simulate[i] = f"replay refused: {exc}"
                 continue
             except Exception as exc:  # noqa: BLE001 - fall back, record
-                structural.append(
-                    (i, point,
-                     f"replay failed: {type(exc).__name__}: {exc}"))
+                simulate[i] = f"replay failed: {type(exc).__name__}: {exc}"
                 continue
-            wall = time.perf_counter() - p0
-            derived_count += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=res,
-                wall_seconds=wall, attempts=1, mode="derived")
-            if cache is not None:
-                cache.put(point, {"result": res, "telemetry": None},
-                          mode="derived", cost=wall)
+            raw[i] = {"ok": True, "result": res,
+                      "wall_seconds": time.perf_counter() - p0}
+    return raw, sum(1 for rec in captured.values() if rec["ok"])
 
+
+def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
+              cache: Optional[ResultCache] = None,
+              timeout: Optional[float] = None, retries: int = 1,
+              telemetry: bool = True,
+              chunksize: Optional[int] = None,
+              incremental: bool = False) -> SweepResult:
+    """Execute a parameter sweep; returns ordered outcomes + accounting.
+
+    ``jobs`` is the worker-process count (``<=1`` = in this process),
+    ``cache`` fronts execution with the content-addressed result store,
+    ``timeout`` is the per-point wall-clock budget in seconds, and
+    ``retries`` is how many times a failed point is re-run before being
+    recorded as an error.
+
+    The sweep runs as classify → execute → merge (see the module
+    docstring).  With ``incremental`` the classify step uses the
+    experiment's registered :class:`~repro.trace.adapter.ReplayAdapter`
+    to label points: one full simulation is captured per structural
+    base, every derivable point is replayed analytically in-process,
+    and any point the capability check or the replayer refuses falls
+    back to full simulation with its reason recorded in
+    ``SweepResult.fallback_reasons``.  Incremental sweeps run with
+    telemetry off (a replayed point has no kernel to observe; mixing
+    instrumented and derived records would make the merged report lie),
+    so their canonical form matches a plain ``telemetry=False`` sweep.
+    """
+    points = list(points)
+    if not points:
+        raise ValueError("run_sweep needs at least one SweepPoint")
+    experiment = points[0].experiment
+    adapter = None
+    if incremental:
+        if any(p.experiment != experiment for p in points):
+            raise ValueError("incremental sweeps require a single experiment")
+        from ..registry import get_sweep
+
+        adapter = get_sweep(experiment).replay
+        telemetry = False
     # Analytic experiments have no kernel: the runner *is* the derived
-    # evaluator, so its output is cached as exact (it is the exact
-    # result) while the outcome is accounted as derived (no simulation
-    # was dispatched for it).
-    errors = 0
-    for i, point in analytic:
-        p0 = time.perf_counter()
-        try:
-            with _alarm(timeout):
-                res = execute_job(JobRequest.from_point(point)).payload
-        except Exception as exc:  # noqa: BLE001 - terminal for the point
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error", attempts=1,
-                mode="derived",
-                error=f"{type(exc).__name__}: {exc}")
-            continue
-        wall = time.perf_counter() - p0
-        derived_count += 1
-        outcomes[i] = PointOutcome(
-            index=i, point=point, status="ok", result=res,
-            wall_seconds=wall, attempts=1, mode="derived")
-        if cache is not None:
-            cache.put(point, {"result": res, "telemetry": None},
-                      cost=wall)
+    # evaluator, so it runs in this process (skipping the pool) and its
+    # output is cached as exact (it is the exact result) while the
+    # outcome is accounted as derived (no simulation was dispatched).
+    analytic = adapter is not None and adapter.kind == "analytic"
+    t0 = time.perf_counter()
 
-    structural.sort(key=lambda item: item[0])
-    fallback_reasons: Dict[str, int] = {}
-    for _, _, reason in structural:
-        fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-    reason_of = {i: reason for i, _, reason in structural}
-    fallback = [(i, p) for i, p, _ in structural]
-    raw = _execute_batch(fallback, jobs=jobs, telemetry=False,
-                         timeout=timeout, chunksize=chunksize)
-    attempts = {i: 1 for i, _ in fallback}
+    # 1. Classify.
+    hits, groups, simulate = _classify(points, cache, adapter,
+                                       incremental=incremental,
+                                       telemetry=telemetry)
+
+    # 2. Execute: replay groups first (they may demote points), then
+    #    one batch plus one retry loop over the whole simulate set.
+    raw, captures = _replay_groups(groups, adapter, simulate, cache=cache,
+                                   jobs=jobs, timeout=timeout)
+    batch = [(i, points[i]) for i in sorted(simulate)]
+    batch_jobs = 1 if analytic else jobs
+    raw.update(_execute_batch(batch, jobs=batch_jobs, telemetry=telemetry,
+                              timeout=timeout, chunksize=chunksize))
+    attempts = {i: 1 for i in raw}
     retried = 0
     for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in fallback if not raw[i]["ok"]]
+        failed = [(i, p) for i, p in batch if not raw[i]["ok"]]
         if not failed:
             break
         retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=False,
-                                   timeout=timeout, chunksize=1)
+        retry_raw = _execute_batch(failed, jobs=batch_jobs,
+                                   telemetry=telemetry, timeout=timeout,
+                                   chunksize=1)
         for i, rec in retry_raw.items():
             attempts[i] += 1
             if rec["ok"] or not raw[i]["ok"]:
                 raw[i] = rec
 
-    executed = 0
-    for i, point in fallback:
-        rec = raw[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i], fallback_reason=reason_of[i])
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": None},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="error",
-                error=rec.get("error", "unknown failure"),
-                attempts=attempts[i], fallback_reason=reason_of[i])
-
-    result = SweepResult(
-        experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
-        retried=retried,
-        cache=cache.describe() if cache is not None else None,
-        incremental=True,
-        derived=derived_count,
-        captures=captures_run,
-        fallback_reasons=fallback_reasons,
-    )
-    if cache is not None:
-        cache.flush_stats()
-    return result
-
-
-def _warm_tasks(groups: Dict[str, dict], experiment: str, jobs: int,
-                timeout: Optional[float],
-                chunksize: Optional[int]) -> List[dict]:
-    """Split warm groups into pool tasks (chunks never mix groups).
-
-    The default chunk size spreads each group over at most ``jobs``
-    tasks: warm chunks should be *large* — every extra chunk of a group
-    is a potential extra session build on another worker — so the
-    fresh engine's ~4-chunks-per-worker heuristic would be
-    counterproductive here.
-    """
-    tasks: List[dict] = []
-    for digest, group in groups.items():
-        members = group["members"]
-        size = chunksize if chunksize is not None else \
-            max(1, -(-len(members) // max(1, jobs)))
-        for lo in range(0, len(members), size):
-            tasks.append({
-                "digest": digest,
-                "experiment": experiment,
-                "base_params": group["base_params"],
-                "base_seed": group["base_seed"],
-                "backend": group["backend"],
-                "members": members[lo:lo + size],
-                "timeout": timeout,
-            })
-    return tasks
-
-
-def _run_warm(points: List[SweepPoint], *, jobs: int,
-              cache: Optional[ResultCache],
-              timeout: Optional[float], retries: int,
-              chunksize: Optional[int]) -> SweepResult:
-    """The ``warm=True`` engine: construct once per group, run many.
-
-    Execution order (see ``docs/PERFORMANCE.md``):
-
-    1. cache pass — identical keys to a plain ``telemetry=False``
-       sweep, so warm, fresh, and cached runs all interchange;
-    2. grouping by structural digest via the experiment's registered
-       :class:`~repro.sweep.warm.BatchAdapter` (no adapter: every
-       point demotes to the fresh path with the reason recorded);
-    3. batch dispatch — one persistent pool for every group task, warm
-       workers keep their sessions across tasks;
-    4. demotions (session build/restore failures) and warm failures
-       re-run through the normal fresh path, the latter consuming one
-       retry; remaining ``retries`` apply as usual.
-    """
-    from .warm import batch_adapter_for, group_key, run_warm_chunk
-    from .warm import warm_worker_init
-
-    experiment = points[0].experiment
-    if any(p.experiment != experiment for p in points):
-        raise ValueError("warm sweeps require a single experiment")
-    adapter = batch_adapter_for(experiment)
-    t0 = time.perf_counter()
-
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    for i, point in enumerate(points):
-        hit = cache.get(point) if cache is not None else None
-        if hit is not None:
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="cached",
-                result=hit.get("result"), telemetry=None)
-        else:
-            pending.append((i, point))
-
-    # Partition: warm groups vs the fresh demotion set.
-    reason_of: Dict[int, str] = {}
-    fresh: List[Tuple[int, SweepPoint]] = []
-    groups: Dict[str, dict] = {}
-    if adapter is None:
-        for i, point in pending:
-            reason_of[i] = "no batch adapter registered"
-            fresh.append((i, point))
-    else:
-        for i, point in pending:
-            digest, bparams, bseed = group_key(point, adapter)
-            group = groups.setdefault(
-                digest, {"base_params": bparams, "base_seed": bseed,
-                         "backend": point.backend, "members": []})
-            group["members"].append((i, point))
-
-    # Batch dispatch: one persistent pool serves every group task, so
-    # workers keep their warm sessions across tasks (and sweeps, for
-    # the in-process jobs<=1 path).
-    tasks = _warm_tasks(groups, experiment, jobs, timeout, chunksize)
-    counters = {"warm_points": 0, "restores": 0,
-                "lowering_cache_hits": 0, "builds": 0}
-    chunk_results: List[dict] = []
-    if tasks:
-        if jobs <= 1 or len(tasks) == 1:
-            chunk_results = [run_warm_chunk(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    initializer=warm_worker_init) as pool:
-                futures = [(pool.submit(run_warm_chunk, task), task)
-                           for task in tasks]
-                for future, task in futures:
-                    try:
-                        chunk_results.append(future.result())
-                    except BrokenProcessPool:
-                        chunk_results.append({"records": [
-                            {"index": i, "ok": False,
-                             "error": "BrokenProcessPool: worker crashed"}
-                            for i, _ in task["members"]], "counters": {}})
-                    except Exception as exc:  # noqa: BLE001
-                        chunk_results.append({"records": [
-                            {"index": i, "ok": False,
-                             "error": f"{type(exc).__name__}: {exc}"}
-                            for i, _ in task["members"]], "counters": {}})
-    raw: Dict[int, dict] = {}
-    for res in chunk_results:
-        for rec in res["records"]:
-            raw[rec["index"]] = rec
-        for name, value in res.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-
-    # Sort the warm records: successes become outcomes, session-level
-    # demotions join the fresh set, per-point failures re-run fresh
-    # (consuming one retry).
-    executed = 0
-    warm_failed: List[Tuple[int, SweepPoint]] = []
-    for group in groups.values():
-        for i, point in group["members"]:
-            rec = raw.get(i, {"ok": False, "error": "warm record missing"})
-            if not rec["ok"] and rec.get("fallback"):
-                reason_of[i] = rec["fallback"]
-                fresh.append((i, point))
-            elif rec["ok"]:
-                executed += 1
-                outcomes[i] = PointOutcome(
-                    index=i, point=point, status="ok",
-                    result=rec["result"],
-                    wall_seconds=rec.get("wall_seconds", 0.0),
-                    attempts=1, execution=rec.get("execution", "warm"))
-                if cache is not None:
-                    cache.put(point, {"result": rec["result"],
-                                      "telemetry": None},
-                              cost=rec.get("wall_seconds", 0.0))
-            else:
-                reason_of[i] = ("warm execution failed: "
-                                + rec.get("error", "unknown failure"))
-                warm_failed.append((i, point))
-
-    fresh_all = sorted(fresh + warm_failed)
-    warm_failed_ids = {i for i, _ in warm_failed}
-    raw2 = _execute_batch(fresh_all, jobs=jobs, telemetry=False,
-                          timeout=timeout, chunksize=chunksize)
-    attempts = {i: (2 if i in warm_failed_ids else 1)
-                for i, _ in fresh_all}
-    retried = len(warm_failed)
-    for _ in range(max(0, retries)):
-        failed = [(i, p) for i, p in fresh_all if not raw2[i]["ok"]]
-        if not failed:
-            break
-        retried += len(failed)
-        retry_raw = _execute_batch(failed, jobs=jobs, telemetry=False,
-                                   timeout=timeout, chunksize=1)
-        for i, rec in retry_raw.items():
-            attempts[i] += 1
-            if rec["ok"] or not raw2[i]["ok"]:
-                raw2[i] = rec
-
-    errors = 0
+    # 3. Merge, in point order.
+    outcomes: List[PointOutcome] = []
     fallback_reasons: Dict[str, int] = {}
-    for i, point in fresh_all:
-        reason = reason_of[i]
-        fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-        rec = raw2[i]
-        if rec["ok"]:
-            executed += 1
-            outcomes[i] = PointOutcome(
-                index=i, point=point, status="ok", result=rec["result"],
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                attempts=attempts[i], fallback_reason=reason)
-            if cache is not None:
-                cache.put(point, {"result": rec["result"],
-                                  "telemetry": None},
-                          cost=rec.get("wall_seconds", 0.0))
-        else:
-            errors += 1
-            outcomes[i] = PointOutcome(
+    for i, point in enumerate(points):
+        hit = hits.get(i)
+        if hit is not None:
+            outcomes.append(PointOutcome(
+                index=i, point=point, status="cached",
+                result=hit.get("result"),
+                telemetry=hit.get("telemetry") if telemetry else None,
+                mode=hit.mode))
+            continue
+        rec = raw[i]
+        replayed = i not in simulate
+        mode = "derived" if replayed or analytic else "exact"
+        reason = simulate.get(i)
+        if reason is not None:
+            fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
+        if not rec["ok"]:
+            outcomes.append(PointOutcome(
                 index=i, point=point, status="error",
                 error=rec.get("error", "unknown failure"),
-                attempts=attempts[i], fallback_reason=reason)
+                attempts=attempts[i], mode=mode, fallback_reason=reason))
+            continue
+        wall = rec.get("wall_seconds", 0.0)
+        outcomes.append(PointOutcome(
+            index=i, point=point, status="ok", result=rec["result"],
+            telemetry=rec.get("telemetry"), wall_seconds=wall,
+            attempts=attempts[i], mode=mode, fallback_reason=reason))
+        if cache is not None:
+            cache.put(point, {"result": rec["result"],
+                              "telemetry": rec.get("telemetry")},
+                      mode="derived" if replayed else "exact", cost=wall)
 
+    ok = [o for o in outcomes if o.status == "ok"]
     result = SweepResult(
         experiment=experiment,
-        outcomes=[o for o in outcomes if o is not None],
+        outcomes=outcomes,
         jobs=jobs,
         wall_seconds=time.perf_counter() - t0,
-        cache_hits=sum(1 for o in outcomes
-                       if o is not None and o.status == "cached"),
-        cache_misses=len(pending),
-        executed=executed,
-        errors=errors,
+        cache_hits=len(hits),
+        cache_misses=len(points) - len(hits),
+        executed=sum(1 for o in ok if o.mode == "exact"),
+        errors=sum(1 for o in outcomes if o.status == "error"),
         retried=retried,
         cache=cache.describe() if cache is not None else None,
+        incremental=incremental,
+        derived=sum(1 for o in ok if o.mode == "derived"),
+        captures=captures,
         fallback_reasons=fallback_reasons,
-        warm=True,
-        warm_groups=len(groups),
-        warm_points=counters["warm_points"],
-        restores=counters["restores"],
-        lowering_cache_hits=counters["lowering_cache_hits"],
     )
     if cache is not None:
-        cache.stats.warm_points += counters["warm_points"]
-        cache.stats.warm_restores += counters["restores"]
-        cache.stats.warm_lowering_hits += counters["lowering_cache_hits"]
         cache.flush_stats()
     return result

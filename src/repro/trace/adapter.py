@@ -15,8 +15,7 @@ resolves one by sweep name.
 Two adapter kinds exist:
 
 * ``"trace"`` — the real thing: one full capture per structural base,
-  analytical replay per satellite point (``li_latency``, the
-  ``stall_verification`` latency sub-space);
+  analytical replay per satellite point (``li_latency``);
 * ``"analytic"`` — for experiments with no simulation kernel at all
   (``gals_overhead``): every point is trivially derivable by evaluating
   the closed-form runner in-process, skipping the process pool.

@@ -7,7 +7,7 @@ operations no directed test would write:
 * :class:`ChannelMachine` — a :func:`~repro.connections.Buffer` against
   a transparent-box mirror of its documented cycle semantics (one
   push/pop per cycle, one-cycle handshake plus ``extra_latency``
-  transit, stall gating, snapshot/restore);
+  transit, stall gating);
 * :class:`RouterMachine` — a :class:`~repro.noc.WHVCRouter` mesh node
   under random packet injection: XY routing correctness, per-packet
   flit order, wormhole contiguity per (output, VC), and loss-free
@@ -61,7 +61,6 @@ class ChannelMachine(RuleBasedStateMachine):
         self.stall_probability = 0.0
         self.stalled = False
         self.next_msg = 0
-        self.snaps: dict = {}
         self.sim.run_cycles(self.clk, 1)  # align: first tick has run
         self._model_tick()
 
@@ -75,11 +74,6 @@ class ChannelMachine(RuleBasedStateMachine):
         # only the deterministic stall probabilities are drawn (0 or 1),
         # so the RNG in the real channel cannot diverge from the model
         self.stalled = self.stall_probability >= 1.0
-
-    def _model_state(self):
-        return (list(self.queue), list(self.transit), self.occ_start,
-                self.pushed, self.popped, self.stall_probability,
-                self.stalled)
 
     @rule()
     def tick(self):
@@ -123,21 +117,6 @@ class ChannelMachine(RuleBasedStateMachine):
         self.stall_probability = probability
         if probability == 0.0:
             self.stalled = False  # set_stall(0) resets immediately
-
-    @rule(tag=st.integers(0, 2))
-    def snapshot(self, tag):
-        self.snaps[tag] = (self.chan._snapshot_state(),
-                           self._model_state())
-
-    @rule(tag=st.integers(0, 2))
-    def restore(self, tag):
-        if tag not in self.snaps:
-            return
-        real, model = self.snaps[tag]
-        self.chan._restore_state(real)
-        (self.queue, self.transit, self.occ_start, self.pushed,
-         self.popped, self.stall_probability, self.stalled) = (
-            list(model[0]), list(model[1])) + model[2:]
 
     @invariant()
     def mirrors_agree(self):

@@ -267,9 +267,9 @@ def build_topology(spec: TopologySpec, *, inject: Optional[str] = None,
                    backend: Optional[str] = None) -> BuiltTopology:
     """Elaborate ``spec`` into a :class:`BuiltTopology`.
 
-    All threads are factory-registered (snapshot- and compiled-backend
-    eligible); channel/unit names are unique by construction so lint's
-    duplicate-name rule cannot fire.
+    Every construct is compiled-backend eligible; channel/unit names
+    are unique by construction so lint's duplicate-name rule cannot
+    fire.
     """
     validate(spec)
     if inject not in INJECT_MODES:
@@ -350,34 +350,22 @@ def build_topology(spec: TopologySpec, *, inject: Optional[str] = None,
 
 
 def _source(out, stream):
-    def factory():
-        def run():
-            for value in stream:
-                yield from out.push(value)
-        return run()
-    return factory
+    for value in stream:
+        yield from out.push(value)
 
 
 def _unit(ins, out, schedule, addend):
-    def factory():
-        def run():
-            for idx in schedule:
-                value = yield from ins[idx].pop()
-                yield from out.push(value + addend)
-        return run()
-    return factory
+    for idx in schedule:
+        value = yield from ins[idx].pop()
+        yield from out.push(value + addend)
 
 
 def _sink(ins, schedule, record, done, node, inject):
-    def factory():
-        def run():
-            for idx in schedule:
-                value = yield from ins[idx].pop()
-                record.append(value ^ 1 if inject == "corrupt" else value)
-            if inject == "deadlock" and ins:
-                # The seeded bug: one pop beyond the schedule re-enacts
-                # the deadlock fixture on a generated design.
-                yield from ins[0].pop()
-            done[node] = True
-        return run()
-    return factory
+    for idx in schedule:
+        value = yield from ins[idx].pop()
+        record.append(value ^ 1 if inject == "corrupt" else value)
+    if inject == "deadlock" and ins:
+        # The seeded bug: one pop beyond the schedule re-enacts the
+        # deadlock fixture on a generated design.
+        yield from ins[0].pop()
+    done[node] = True

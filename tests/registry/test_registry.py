@@ -45,7 +45,7 @@ def test_runnable_spec_is_complete(name):
     # covered by the CLI parity suite; here we only require presence.)
     caps = spec.capabilities()
     assert set(caps) == {"design", "sweep", "replay", "harness",
-                        "compiled", "seedable", "schema", "warm"}
+                        "compiled", "seedable", "schema"}
 
 
 def test_specs_sorted_by_order_then_name():

@@ -240,6 +240,38 @@ def test_per_mode_hit_counters_and_recompute_credit(tmp_path):
     assert s.recompute_seconds_saved == 7.0
 
 
+def test_multi_mode_get_is_one_lookup(tmp_path):
+    cache = _cache(tmp_path)
+    cache.put(_point(0), {"result": 0}, mode="derived")
+    hit = cache.get(_point(0), mode=("exact", "derived"))
+    assert hit == {"result": 0} and hit.mode == "derived"
+    assert cache.get(_point(1), mode=("exact", "derived")) is None
+    s = cache.stats
+    assert (s.hits, s.misses, s.hits_exact, s.hits_derived) == (1, 1, 0, 1)
+    # Exact entries come first and are credited to their own mode.
+    cache.put(_point(0), {"result": 1})
+    assert cache.get(_point(0), mode=("exact", "derived")).mode == "exact"
+
+
+def test_stats_file_with_retired_counters_still_merges(tmp_path):
+    """A ``_stats.json`` written with the retired warm-batching
+    counters loads and merges; the rewritten file drops them."""
+    cache = _cache(tmp_path)
+    path = pathlib.Path(cache.root) / "_stats.json"
+    path.write_text(json.dumps({
+        "hits": 3, "misses": 1, "puts": 4, "evictions": 0,
+        "corrupt_dropped": 0, "hits_exact": 3, "hits_derived": 0,
+        "hits_trace": 0, "recompute_seconds_saved": 1.5,
+        "warm_points": 7, "warm_restores": 6, "warm_lowering_hits": 5}))
+    cache.put(_point(0), {"result": 1})
+    cache.get(_point(0))
+    merged = cache.flush_stats()
+    assert merged["hits"] == 4 and merged["puts"] == 5
+    on_disk = json.loads(path.read_text())
+    assert on_disk == merged
+    assert not any(key.startswith("warm_") for key in on_disk)
+
+
 def test_flush_stats_persists_deltas_once(tmp_path):
     cache = _cache(tmp_path)
     p = _point(0)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.sweeps import SWEEP_SPECS, SweepSpec, register_sweep
 from repro.sweep import PointTimeout, ResultCache, SweepPoint, run_sweep
+from repro.trace.adapter import ReplayAdapter
 
 _FORK = mp.get_start_method(allow_none=False) == "fork"
 needs_fork = pytest.mark.skipif(
@@ -47,6 +48,9 @@ _FAKES = [
               runner=_echo_runner),
     SweepSpec("crash_once_test", "test", space=lambda **kw: [],
               runner=_crash_once_runner),
+    SweepSpec("crash_once_analytic_test", "test", space=lambda **kw: [],
+              runner=_crash_once_runner,
+              replay=ReplayAdapter(kind="analytic")),
     SweepSpec("always_crash_test", "test", space=lambda **kw: [],
               runner=_always_crash_runner),
     SweepSpec("sleepy_test", "test", space=lambda **kw: [],
@@ -107,6 +111,31 @@ def test_crash_is_retried_and_recovers_parallel(tmp_path):
     assert result.errors == 0 and result.retried == 1
     assert result.results[-1]["recovered"] is True
     assert [r["i"] for r in result.results[:4]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("experiment,reason", [
+    ("crash_once_analytic_test", None),
+    ("crash_once_test", "experiment registers no replay adapter"),
+])
+def test_plain_and_incremental_share_one_retry_loop(tmp_path, experiment,
+                                                    reason):
+    def sweep(incremental):
+        root = tmp_path / ("inc" if incremental else "plain")
+        root.mkdir()
+        points = [SweepPoint(experiment,
+                             {"i": i, "sentinel": str(root / f"s{i}")})
+                  for i in range(3)]
+        return run_sweep(points, jobs=1, telemetry=False,
+                         incremental=incremental)
+
+    plain, incremental = sweep(False), sweep(True)
+    for result in (plain, incremental):
+        assert (result.retried, result.errors) == (3, 0)
+        assert [o.attempts for o in result.outcomes] == [2, 2, 2]
+        assert all(o.status == "ok" for o in result.outcomes)
+    assert all(o.fallback_reason is None for o in plain.outcomes)
+    # The retry never overwrites the classification's reason.
+    assert all(o.fallback_reason == reason for o in incremental.outcomes)
 
 
 def test_persistent_crash_recorded_not_raised():

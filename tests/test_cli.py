@@ -234,7 +234,7 @@ def test_sweep_incremental_reports_fallbacks(tmp_path, capsys):
                  "--cache-dir", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
     assert "fallbacks to full simulation:" in out
-    assert "pop_nb" in out
+    assert "experiment registers no replay adapter" in out
 
 
 def test_li_latency_command(capsys):
@@ -252,6 +252,28 @@ def test_stats_cache_prints_cache_block(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sweep cache" in out and "lifetime:" in out
     assert "derived" in out and "trace" in out
+
+
+def test_stats_cache_hit_rate_counts_one_lookup_per_point(tmp_path, capsys):
+    import os
+
+    cache_dir = str(tmp_path / "cache")
+    args = ["sweep", "li_latency", "--incremental", "--jobs", "1",
+            "--cache-dir", cache_dir]
+    assert main(args) == 0
+    capsys.readouterr()
+    # Start the lifetime counters at the fully cached second pass.
+    os.remove(os.path.join(cache_dir, "_stats.json"))
+    assert main(args) == 0
+    assert "48 hits / 0 misses (100% hit rate)" in capsys.readouterr().out
+    assert main(["stats", "--cache", "--cache-dir", cache_dir]) == 0
+    assert "48 hits / 0 misses (100% hit rate)" in capsys.readouterr().out
+
+
+def test_sweep_has_no_warm_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "li_latency", "--warm"])
+    assert exc.value.code == 2
 
 
 def test_stats_without_experiment_or_cache_rejected():

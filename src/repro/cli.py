@@ -98,11 +98,6 @@ from . import registry
 
 __all__ = ["main"]
 
-#: Deprecated compat alias: verb -> ``(runner, summary)``, now a live
-#: view of the experiment registry (the historical hand-written dict's
-#: import surface; use ``registry.get(name)`` in new code).
-_COMMANDS = registry.commands_view()
-
 
 # ----------------------------------------------------------------------
 # the one shared-flags builder (satellite: no more per-verb copies)
@@ -359,11 +354,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Run an experiment's parameter sweep: pool + result cache."""
-    from .experiments.sweeps import build_space
     from .sweep import ResultCache, default_cache_dir, run_sweep
 
     spec = registry.get_sweep(args.experiment)
-    points = build_space(args.experiment, seed=args.seed)
+    points = (spec.space() if args.seed is None
+              else spec.space(seed=args.seed))
     if args.limit is not None:
         points = points[:args.limit]
     if args.backend != "threaded":

@@ -27,7 +27,6 @@ from .crossbar_qor import (
     crossbar_qor_sweep,
     format_qor_table,
 )
-from .designs import DESIGN_BUILDERS, build_design
 from .fig3_crossbar import (
     CrossbarTestbench,
     Fig3Point,
@@ -69,11 +68,8 @@ from .stall_verification import (
     format_campaign,
     stall_campaign,
 )
-from .sweeps import SWEEP_SPECS, SweepSpec, build_space, get_sweep
 
 __all__ = [
-    "DESIGN_BUILDERS", "build_design",
-    "SWEEP_SPECS", "SweepSpec", "build_space", "get_sweep",
     "Fig3Point", "CrossbarTestbench", "build_crossbar_testbench",
     "run_crossbar_accuracy", "figure3", "format_figure3",
     "Fig6Point", "run_fig6_test", "figure6", "format_figure6",

@@ -19,7 +19,6 @@ kernel and channels pay at most one ``is None`` test on their hot paths
 """
 
 from .campaign import (
-    HARNESSES,
     Harness,
     Rig,
     build_deadlock_fixture,
@@ -48,6 +47,6 @@ __all__ = [
     "ChannelSnapshot",
     "FaultPlan", "FaultDirective", "AppliedFaults", "ChannelFaults",
     "default_corrupter",
-    "Harness", "Rig", "HARNESSES", "build_deadlock_fixture",
+    "Harness", "Rig", "build_deadlock_fixture",
     "default_plan", "execute", "shrink", "outcome_class",
 ]

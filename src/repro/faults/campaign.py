@@ -48,7 +48,7 @@ from ..sweep.point import SweepPoint
 from .plan import FaultPlan
 from .watchdog import HangError, Watchdog
 
-__all__ = ["Rig", "Harness", "HARNESSES", "default_plan", "execute",
+__all__ = ["Rig", "Harness", "default_plan", "execute",
            "shrink", "outcome_class", "build_deadlock_fixture",
            "sweep_space", "run_sweep_point", "summarize_sweep",
            "OUTCOMES"]
@@ -351,10 +351,12 @@ def _build_deadlock_rig(seed: int) -> Rig:
 # (``stall_verification``), while the specs they attach to carry the CLI
 # verb names (``stalls``) — the registry indexes both.  The two
 # harness-only fixtures (``packet_stream``, ``deadlock_demo``) register
-# hidden specs: no CLI experiment verb, but full fault-campaign and
-# ``HARNESSES``-view membership.  Attach order is load-bearing: it is
-# the historical ``HARNESSES`` dict order, which fixes the default
-# campaign matrix's point order (and with it every seeded record).
+# hidden specs: no CLI experiment verb, but full fault-campaign
+# membership.  Attach order is load-bearing: ``registry.harnesses_view``
+# enumerates harnesses in it, which fixes the default campaign matrix's
+# point order (and with it every seeded record).  The experiment specs
+# exist by now: the stall_verification import above loads
+# ``repro.experiments``, which registers them.
 registry.attach_harness("stalls", Harness(
     "stall_verification", _build_stall_rig, _STALL_MENU))
 registry.attach_harness("fig3", Harness(
@@ -375,10 +377,6 @@ registry.register(registry.ExperimentSpec(
     hidden=True,
 ))
 
-#: Harness name -> harness.  A live read-through view of the experiment
-#: registry (deprecated alias; use ``registry.get_harness`` instead).
-HARNESSES: Dict[str, Harness] = registry.harnesses_view()
-
 
 # ----------------------------------------------------------------------
 # case execution
@@ -389,7 +387,7 @@ def default_plan(harness_name: str, seed: int) -> FaultPlan:
     1-3 distinct menu entries, chosen and parameterized by a named RNG
     stream — the same ``(harness, seed)`` always yields the same plan.
     """
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     plan = FaultPlan(seed)
     if not harness.menu:
         return plan
@@ -407,7 +405,7 @@ def execute(harness_name: str, plan: FaultPlan, seed: int) -> dict:
     The returned record is plain JSON-able data and fully deterministic
     for a given ``(harness, plan, seed)``.
     """
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     rig = harness.build(seed)
     applied = plan.apply(rig.sim)
     Watchdog(rig.sim, rig.clock, window=rig.window,
@@ -490,7 +488,7 @@ def shrink(harness_name: str, plan: FaultPlan, seed: int,
     """
     if match not in ("class", "outcome", "any"):
         raise ValueError(f"unknown shrink match mode {match!r}")
-    harness = HARNESSES[harness_name]
+    harness = registry.get_harness(harness_name)
     reference = execute(harness_name, plan, seed)
     runs = 1
     if target_outcome is not None \
@@ -530,13 +528,12 @@ def sweep_space(*, experiments: Optional[List[str]] = None, cases: int = 4,
                 seed: int = 0) -> List[SweepPoint]:
     """Enumerate N seeded cases per harness as sweep points."""
     if experiments is None:
-        names = [n for n, h in HARNESSES.items() if h.in_default_matrix]
+        names = [n for n, h in registry.harnesses_view().items()
+                 if h.in_default_matrix]
     else:
         names = list(experiments)
     for name in names:
-        if name not in HARNESSES:
-            raise KeyError(f"unknown fault-campaign harness {name!r}; "
-                           f"one of {sorted(HARNESSES)}")
+        registry.get_harness(name)  # unknown names raise KeyError
     return [SweepPoint("fault_campaign", {"experiment": name, "case": case},
                        seed=seed + case)
             for name in names for case in range(cases)]
@@ -580,12 +577,9 @@ def summarize_sweep(results: List[dict]) -> str:
     return "\n".join(lines)
 
 
-# The fault_campaign sweep used to be registered by experiments/sweeps.py
-# through lazy wrappers (importing this module at experiments-import time
-# would have closed an import cycle).  With the registry owning the
-# catalog, this module registers it directly — registry.load() imports
-# repro.faults.campaign after repro.experiments, so the sweep is always
-# visible wherever sweeps are resolved, including worker processes.
+# registry.load() imports this module after repro.experiments, so the
+# sweep is visible wherever sweeps are resolved, including worker
+# processes.
 registry.register_sweep(registry.SweepSpec(
     name="fault_campaign",
     help="seeded fault-injection cases per harness (drop/dup/corrupt/"

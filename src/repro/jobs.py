@@ -1,8 +1,7 @@
 """The job-oriented execution core: JobRequest in, JobResult out.
 
 This is the single programmatic "submit a job, get a canonical result"
-surface the future simulation-as-a-service API (ROADMAP item 3) will
-sit on.  A :class:`JobRequest` names *what* to run — an experiment from
+surface.  A :class:`JobRequest` names *what* to run — an experiment from
 :mod:`repro.registry` (or one sweep point of it), its parameters, seed,
 simulation backend, and observability flags — and :func:`execute`
 handles *how*: runner resolution, ambient backend selection with
@@ -95,7 +94,9 @@ class JobResult:
     ``text`` the formatter's rendering (``None`` for point jobs —
     sweeps format merged results, not single points).  ``backend`` /
     ``fallback_reason`` record what actually simulated the job, from
-    :func:`repro.kernel.backend.last_run`.  ``session`` (telemetry jobs
+    :func:`repro.kernel.backend.last_run` (reset to ``("threaded",
+    None)`` when the job starts, so a job that never reaches the
+    compiled engine cannot report the previous job's backend).  ``session`` (telemetry jobs
     only) is the live capture session, kept for VCD export; it is
     excluded from comparison, so equal jobs compare equal.
     """
@@ -155,10 +156,11 @@ def execute(request: JobRequest, *,
     records (labelled ``telemetry_label``, default the experiment name)
     ride along on the result.
     """
-    from .kernel.backend import last_run, use_backend
+    from .kernel.backend import last_run, record_run, use_backend
 
     runner, formatter, schema, version = _resolve(request)
     params = dict(request.params)
+    record_run("threaded")
     t0 = time.perf_counter()
     if request.telemetry or request.trace_signals:
         from . import observe

@@ -1,27 +1,15 @@
 """The unified experiment registry: one declarative spec per experiment.
 
-Before this module existed the repository kept four parallel, hand-
-synchronized per-experiment registries — CLI verbs in ``repro.cli``,
-``DESIGN_BUILDERS`` in ``repro.experiments.designs``, ``SWEEP_SPECS``
-in ``repro.experiments.sweeps``, and fault ``HARNESSES`` in
-``repro.faults.campaign`` — and drift between them was a matter of
-time (the CLI's fault-harness choices were a static copy).  This module
-replaces all four with **one** declarative :class:`ExperimentSpec` that
-each experiment module registers exactly once; every legacy registry
-survives as a read-through view derived from the specs:
-
-* :func:`design_builders_view` → ``repro.experiments.designs
-  .DESIGN_BUILDERS`` (experiment name → construction-only builder),
-* :func:`sweep_specs_view` → ``repro.experiments.sweeps.SWEEP_SPECS``
-  (sweep name → :class:`SweepSpec`),
-* :func:`harnesses_view` → ``repro.faults.campaign.HARNESSES``
-  (harness name → fault harness),
-* :func:`commands_view` → the CLI's verb table.
-
-The views are live: registering a spec (or attaching a capability to
-one) updates every view at once, so the CLI's choices, the sweep
-worker's runner resolution, and the campaign runner can never disagree
-about what the system can run.
+Each experiment module registers exactly **one** :class:`ExperimentSpec`
+that declares everything the system can do with the experiment: its CLI
+runner and formatter, its construction-only design builder, its
+parameter sweep, and its fault-campaign harness.  The CLI's verbs and
+choices, the sweep worker's runner resolution, and the campaign runner
+all look experiments up here, so they can never disagree about what the
+system can run.  :func:`names`, :func:`specs`, :func:`sweep_specs_view`
+and :func:`harnesses_view` enumerate the catalog; :func:`get`,
+:func:`get_sweep`, :func:`get_harness` and :func:`build_design` look
+one entry up.
 
 Registration is import-driven and lazy: importing this module costs
 nothing, and the first lookup calls :func:`load`, which imports the
@@ -44,9 +32,8 @@ job-oriented execution core (:mod:`repro.jobs`) built on top.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional
 from typing import Tuple
 
 __all__ = [
@@ -54,8 +41,7 @@ __all__ = [
     "register", "register_sweep", "attach_harness",
     "get", "names", "specs", "load",
     "build_design", "get_sweep", "get_harness",
-    "design_builders_view", "sweep_specs_view", "harnesses_view",
-    "commands_view",
+    "sweep_specs_view", "harnesses_view",
 ]
 
 
@@ -84,10 +70,17 @@ class CliParam:
 class SweepSpec:
     """One registered sweep: space builder + point runner + formatter.
 
-    (Moved here from ``repro.experiments.sweeps``, which still re-exports
-    it.)  ``replay``, when set, opts the experiment into incremental
-    sweeps (``run_sweep(..., incremental=True)``): it carries the
-    semantic map from sweep points to captured traces and back.
+    ``space(**options)`` enumerates the parameter grid as
+    :class:`~repro.sweep.point.SweepPoint`\\ s (cheap, no simulation;
+    every builder accepts ``seed=`` to re-seed the whole space).
+    ``runner(params, seed)`` executes one point and returns a plain
+    JSON-able record; workers resolve it by sweep name, so points stay
+    dumb data across the pool.  ``summarize(results)`` renders the
+    merged records as the experiment's usual table.
+
+    ``replay``, when set, opts the experiment into incremental sweeps
+    (``run_sweep(..., incremental=True)``): it carries the semantic map
+    from sweep points to captured traces and back.
     Experiments without one still work incrementally — every point just
     falls back to full simulation with the reason recorded.
     """
@@ -182,9 +175,6 @@ _SPECS: Dict[str, ExperimentSpec] = {}
 _SWEEP_INDEX: Dict[str, str] = {}
 #: harness name -> spec name.
 _HARNESS_INDEX: Dict[str, str] = {}
-#: Harnesses attached before their spec was registered (import-order
-#: independence for ``repro.faults.campaign``).
-_PENDING_HARNESSES: Dict[str, Any] = {}
 
 _LOADED = False
 _LOADING = False
@@ -198,7 +188,7 @@ def load() -> None:
     """Import the experiment catalog (idempotent, re-entrant safe).
 
     Every bundled experiment module registers its spec at import time;
-    this imports them all so views and lookups are complete.  Safe to
+    this imports them all so enumerations and lookups are complete.  Safe to
     call from inside a catalog module's own import (the re-entrancy
     guard makes the nested call a no-op).
     """
@@ -237,35 +227,32 @@ def _reindex(spec: ExperimentSpec) -> None:
 def register(spec: ExperimentSpec) -> ExperimentSpec:
     """Register (or re-register) one experiment's spec.
 
-    Returns the stored spec — with any harness that was attached before
-    registration folded in.  Re-registering the same name replaces the
+    Returns the stored spec.  Re-registering the same name replaces the
     old spec (module reloads); sweep/harness *names* stay unique across
     distinct specs.
     """
-    pending = _PENDING_HARNESSES.pop(spec.name, None)
-    if pending is not None and spec.harness is None:
-        spec = replace(spec, harness=pending)
     _reindex(spec)
     _SPECS[spec.name] = spec
     return spec
 
 
 def attach_harness(name: str, harness: Any) -> None:
-    """Attach a fault harness to the named spec (deferred if unknown).
+    """Attach a fault harness to the named, already registered spec.
 
     ``repro.faults.campaign`` lives downstream of the experiment
-    modules, so harnesses are attached after the fact; attaching before
-    the spec exists parks the harness until :func:`register` sees it.
+    modules (it imports them first), so harnesses are attached after
+    the fact.  Raises ``KeyError`` for an unknown experiment.
     """
     spec = _SPECS.get(name)
     if spec is None:
-        _PENDING_HARNESSES[name] = harness
-        return
+        raise KeyError(f"cannot attach fault harness {harness.name!r}: "
+                       f"unknown experiment {name!r}; one of "
+                       f"{sorted(_SPECS)}")
     register(replace(spec, harness=harness))
 
 
 def register_sweep(sweep: SweepSpec) -> SweepSpec:
-    """Register a bare sweep (the legacy ``register_sweep`` surface).
+    """Register a bare sweep, outside any experiment module.
 
     If a spec already owns a sweep with this name the sweep is replaced
     in place; otherwise a hidden sweep-only spec is created (tests
@@ -307,7 +294,7 @@ def specs(*, hidden: bool = False) -> List[ExperimentSpec]:
 
 
 # ----------------------------------------------------------------------
-# capability lookups (the programmatic face of the old registries)
+# capability lookups and enumerations
 # ----------------------------------------------------------------------
 def build_design(experiment: str):
     """Construct the named experiment's design; returns its Simulator.
@@ -319,7 +306,7 @@ def build_design(experiment: str):
     if experiment not in _SPECS or _SPECS[experiment].hidden:
         raise KeyError(
             f"unknown experiment {experiment!r}; one of "
-            f"{sorted(design_builders_view())}")
+            f"{sorted(names(runnable=True))}")
     spec = _SPECS[experiment]
     if spec.design is None:
         raise ValueError(f"experiment {experiment!r} is analytic — "
@@ -347,77 +334,21 @@ def get_harness(name: str) -> Any:
                        f"one of {sorted(_HARNESS_INDEX)}") from None
 
 
-def sweep_owner(sweep_name: str) -> Optional[ExperimentSpec]:
-    """The spec that owns the named sweep (None when unregistered)."""
-    load()
-    owner = _SWEEP_INDEX.get(sweep_name)
-    return _SPECS.get(owner) if owner is not None else None
+def sweep_specs_view() -> Dict[str, SweepSpec]:
+    """Sweep name -> :class:`SweepSpec`, in registration order.
 
-
-# ----------------------------------------------------------------------
-# deprecated read-through views (the old registries' import surface)
-# ----------------------------------------------------------------------
-class _RegistryView(Mapping):
-    """A live, read-only Mapping derived from the registered specs.
-
-    ``keys`` enumerates the view's key set from the current registry
-    state and ``value`` projects one key to the legacy registry's value
-    — so code importing ``DESIGN_BUILDERS`` / ``SWEEP_SPECS`` /
-    ``HARNESSES`` keeps working, while the specs stay the single source
-    of truth.
+    A snapshot: later registrations need a fresh call.
     """
-
-    def __init__(self, keys: Callable[[], List[str]],
-                 value: Callable[[str], Any], kind: str):
-        self._keys = keys
-        self._value = value
-        self._kind = kind
-
-    def __getitem__(self, key: str) -> Any:
-        load()
-        if key not in self._keys():
-            raise KeyError(key)
-        return self._value(key)
-
-    def __iter__(self) -> Iterator[str]:
-        load()
-        return iter(self._keys())
-
-    def __len__(self) -> int:
-        load()
-        return len(self._keys())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<registry view: {self._kind} ({len(self)} entries)>"
+    load()
+    return {name: _SPECS[owner].sweep for name, owner in _SWEEP_INDEX.items()}
 
 
-def design_builders_view() -> Mapping:
-    """``DESIGN_BUILDERS``: experiment verb -> builder (None=analytic)."""
-    return _RegistryView(
-        keys=lambda: [n for n, s in _SPECS.items() if s.runnable],
-        value=lambda n: _SPECS[n].design,
-        kind="design builders")
+def harnesses_view() -> Dict[str, Any]:
+    """Harness name -> fault harness, in attach order.
 
-
-def sweep_specs_view() -> Mapping:
-    """``SWEEP_SPECS``: sweep name -> :class:`SweepSpec`."""
-    return _RegistryView(
-        keys=lambda: list(_SWEEP_INDEX),
-        value=lambda n: _SPECS[_SWEEP_INDEX[n]].sweep,
-        kind="sweep specs")
-
-
-def harnesses_view() -> Mapping:
-    """``HARNESSES``: harness name -> fault harness."""
-    return _RegistryView(
-        keys=lambda: list(_HARNESS_INDEX),
-        value=lambda n: _SPECS[_HARNESS_INDEX[n]].harness,
-        kind="fault harnesses")
-
-
-def commands_view() -> Mapping:
-    """The CLI's verb table: name -> (runner, summary) for compat."""
-    return _RegistryView(
-        keys=lambda: names(runnable=True),
-        value=lambda n: (_SPECS[n].runner, _SPECS[n].summary),
-        kind="CLI commands")
+    The order is load-bearing: it fixes the default fault-campaign
+    matrix's point order.  A snapshot, like :func:`sweep_specs_view`.
+    """
+    load()
+    return {name: _SPECS[owner].harness
+            for name, owner in _HARNESS_INDEX.items()}

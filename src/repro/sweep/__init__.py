@@ -6,9 +6,9 @@ only ever change when the code or the parameters do.  This package
 exploits both properties:
 
 * :class:`SweepPoint` — one (experiment, params, seed) triple, plain
-  data, enumerated by each experiment's space builder (the registry
-  lives in :mod:`repro.experiments.sweeps`, mirroring the
-  construction-only design builders of ``repro.experiments.designs``);
+  data, enumerated by each experiment's space builder (declared on its
+  :class:`~repro.registry.SweepSpec` and looked up with
+  :func:`repro.registry.get_sweep`);
 * :func:`run_sweep` — executes points across a process pool with
   chunked distribution, per-point SIGALRM timeouts, retry-once-on-crash,
   and an ordered merge of per-point telemetry reports that is identical

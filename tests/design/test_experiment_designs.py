@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import registry
 from repro.design import design_path, elaborate, lint
-from repro.experiments.designs import DESIGN_BUILDERS, build_design
+from repro.registry import build_design
 
-_BUILDABLE = sorted(name for name, builder in DESIGN_BUILDERS.items()
-                    if builder is not None)
-_ANALYTIC = sorted(name for name, builder in DESIGN_BUILDERS.items()
-                   if builder is None)
+_BUILDABLE = sorted(name for name in registry.names(runnable=True)
+                    if registry.get(name).design is not None)
+_ANALYTIC = sorted(name for name in registry.names(runnable=True)
+                   if registry.get(name).design is None)
 
 
 @pytest.mark.parametrize("experiment", _BUILDABLE)
@@ -39,9 +40,13 @@ def test_unknown_experiment_raises_key_error():
 
 
 def test_registry_covers_every_cli_experiment():
-    from repro.cli import _COMMANDS
+    from repro.cli import _build_parser
 
-    assert sorted(DESIGN_BUILDERS) == sorted(_COMMANDS)
+    parser = _build_parser()
+    verbs = parser._subparsers._group_actions[0].choices
+    runnable = registry.names(runnable=True)
+    assert set(runnable) <= set(verbs)
+    assert sorted(_BUILDABLE + _ANALYTIC) == sorted(runnable)
 
 
 def test_soc_units_have_hierarchical_paths():

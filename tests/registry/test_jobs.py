@@ -107,3 +107,14 @@ def test_write_json_is_deterministic_across_runs(tmp_path):
     a.write_json(str(pa))
     b.write_json(str(pb))
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_provenance_does_not_leak_from_the_previous_job():
+    point = registry.get_sweep("pe_scaling").space(
+        pe_counts=(2,), total_words=64)[0]
+    compiled = execute(dataclasses.replace(
+        JobRequest.from_point(point), backend="compiled"))
+    assert (compiled.backend, compiled.fallback_reason) == ("compiled", None)
+    default = execute(JobRequest.from_point(point))
+    assert (default.backend, default.fallback_reason) == ("threaded", None)
+    assert default.payload == compiled.payload

@@ -2,8 +2,8 @@
 
 Every capability the CLI, sweep engine, and fault campaigns consume is
 derived from :mod:`repro.registry`; these tests pin down the catalog's
-shape so a missing registration (or a drifting deprecated view) fails
-loudly instead of silently dropping an experiment from a verb.
+shape so a missing registration fails loudly instead of silently
+dropping an experiment from a verb.
 """
 
 import pytest
@@ -55,7 +55,9 @@ def test_specs_sorted_by_order_then_name():
 
 def test_every_sweep_has_a_resolvable_owner():
     for sweep_name in registry.sweep_specs_view():
-        owner = registry.sweep_owner(sweep_name)
+        owner = next((s for s in registry.specs(hidden=True)
+                      if s.sweep is not None and s.sweep.name == sweep_name),
+                     None)
         assert owner is not None
         assert owner.sweep is not None
         assert owner.sweep.name == sweep_name
@@ -69,15 +71,12 @@ def test_every_harness_resolves_by_name():
 
 
 def test_design_capability_matches_view():
-    view = registry.design_builders_view()
     for name in registry.names(runnable=True):
-        assert name in view
         spec = registry.get(name)
+        assert spec.capabilities()["design"] is (spec.design is not None)
         if spec.design is None:
             with pytest.raises(ValueError, match="analytic"):
                 registry.build_design(name)
-        else:
-            assert view[name] is spec.design
 
 
 def test_unknown_lookups_preserve_legacy_messages():
@@ -101,54 +100,41 @@ def test_declared_seedability():
 
 
 # ----------------------------------------------------------------------
-# deprecated views: the four legacy registries' import surfaces
+# enumerations and late registration
 # ----------------------------------------------------------------------
-def test_design_builders_alias_is_live_view():
-    from repro.experiments.designs import DESIGN_BUILDERS
-
-    assert sorted(DESIGN_BUILDERS) == sorted(registry.names(runnable=True))
-    assert DESIGN_BUILDERS["fig3"] is registry.get("fig3").design
-    assert DESIGN_BUILDERS["backend"] is None  # analytic
-
-
-def test_sweep_specs_alias_preserves_identity():
-    from repro.experiments.sweeps import SWEEP_SPECS
-
-    for name, spec in SWEEP_SPECS.items():
-        assert spec.name == name
-        assert SWEEP_SPECS[name] is spec  # view returns stored objects
-
-
 def test_harnesses_alias_matches_registry_order():
-    from repro.faults.campaign import HARNESSES
-
-    assert list(HARNESSES) == ["stall_verification", "fig3_crossbar",
+    # Attach order fixes the default campaign matrix and every seeded
+    # campaign record.
+    harnesses = registry.harnesses_view()
+    assert list(harnesses) == ["stall_verification", "fig3_crossbar",
                                "gals_overhead", "packet_stream",
                                "deadlock_demo"]
-    for name, harness in HARNESSES.items():
+    for name, harness in harnesses.items():
         assert registry.get_harness(name) is harness
 
 
-def test_commands_alias_matches_runnable_specs():
-    from repro.cli import _COMMANDS
-
-    assert sorted(_COMMANDS) == sorted(registry.names(runnable=True))
-
-
 def test_views_reflect_later_registrations():
-    view = registry.sweep_specs_view()
     name = "registry_view_probe"
-    assert name not in view
+    assert name not in registry.sweep_specs_view()
     sweep = registry.SweepSpec(name=name, help="probe",
                                space=lambda **kw: [], runner=lambda p: {})
     registry.register_sweep(sweep)
     try:
-        assert view[name] is sweep
+        assert registry.sweep_specs_view()[name] is sweep
         assert registry.get(name).hidden
     finally:
         registry._SPECS.pop(name, None)
         registry._SWEEP_INDEX.pop(name, None)
-    assert name not in view
+    assert name not in registry.sweep_specs_view()
+
+
+def test_attach_harness_rejects_unknown_experiment():
+    before = registry.harnesses_view()
+    harness = registry.get_harness("packet_stream")
+    with pytest.raises(KeyError, match="unknown experiment 'nope'"):
+        registry.attach_harness("nope", harness)
+    assert "nope" not in registry._SPECS
+    assert registry.harnesses_view() == before
 
 
 def test_cross_spec_sweep_name_collision_rejected():
@@ -164,11 +150,10 @@ def test_cross_spec_sweep_name_collision_rejected():
 
 
 # ----------------------------------------------------------------------
-# satellite regression: faults CLI choices == HARNESSES keys
+# faults CLI choices == registered harness names
 # ----------------------------------------------------------------------
 def test_faults_cli_choices_derive_from_registry():
     from repro.cli import _build_parser
-    from repro.faults.campaign import HARNESSES
 
     parser = _build_parser()
     sub = next(a for a in parser._actions
@@ -176,7 +161,8 @@ def test_faults_cli_choices_derive_from_registry():
     faults = sub.choices["faults"]
     choice_action = next(a for a in faults._actions
                          if a.dest == "experiment")
-    assert tuple(choice_action.choices) == tuple(HARNESSES) + ("all",)
+    assert tuple(choice_action.choices) == (
+        tuple(registry.harnesses_view()) + ("all",))
 
 
 def test_sweep_cli_choices_derive_from_registry():

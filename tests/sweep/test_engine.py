@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from repro.experiments.sweeps import SWEEP_SPECS, SweepSpec, register_sweep
+from repro import registry
+from repro.registry import SweepSpec, register_sweep
 from repro.sweep import PointTimeout, ResultCache, SweepPoint, run_sweep
 from repro.trace.adapter import ReplayAdapter
 
@@ -251,8 +252,9 @@ def test_unknown_experiment_becomes_error_outcome():
 
 
 def test_fake_specs_are_registered():
+    sweeps = registry.sweep_specs_view()
     for spec in _FAKES:
-        assert SWEEP_SPECS[spec.name] is spec
+        assert sweeps[spec.name] is spec
 
 
 # ----------------------------------------------------------------------

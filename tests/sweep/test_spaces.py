@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import stall_verification as sv
-from repro.experiments.sweeps import SWEEP_SPECS, build_space, get_sweep
+from repro import registry
+from repro.registry import get_sweep
 from repro.sweep import SweepPoint
 
 _REAL_SPECS = ("stall_verification", "fig3_crossbar", "gals_overhead",
@@ -24,23 +25,23 @@ def test_space_is_nonempty_and_deterministic(name):
 
 @pytest.mark.parametrize("name", _REAL_SPECS)
 def test_registry_exposes_runner_and_summarizer(name):
-    spec = SWEEP_SPECS[name]
+    spec = registry.sweep_specs_view()[name]
     assert callable(spec.runner)
     assert spec.summarize is None or callable(spec.summarize)
     assert spec.help
 
 
-def test_build_space_threads_seed():
-    base = build_space("stall_verification")
-    shifted = build_space("stall_verification", seed=500)
+def test_space_threads_seed():
+    base = get_sweep("stall_verification").space()
+    shifted = get_sweep("stall_verification").space(seed=500)
     assert len(base) == len(shifted)
     assert base != shifted
     assert all(p.seed >= 500 for p in shifted)
 
 
-def test_build_space_rejects_unknown_name():
+def test_get_sweep_rejects_unknown_name():
     with pytest.raises(KeyError, match="stall_verification"):
-        build_space("definitely_not_registered")
+        get_sweep("definitely_not_registered")
 
 
 def test_stall_space_matches_serial_campaign_grid():

@@ -12,8 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.sweeps import SweepSpec, build_space, register_sweep
-from repro.registry import get_sweep
+from repro.registry import SweepSpec, get_sweep, register_sweep
 from repro.sweep import ResultCache, run_sweep
 from repro.trace.adapter import ReplayAdapter
 
@@ -35,7 +34,7 @@ def _canonical(points):
 
 
 def test_li_latency_incremental_is_byte_identical(cache):
-    points = build_space("li_latency")
+    points = get_sweep("li_latency").space()
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.canonical() == _canonical(points)
     # The headline property: 48 points, 2 structural bases, 0 fallbacks.
@@ -48,13 +47,13 @@ def test_li_latency_incremental_is_byte_identical(cache):
 
 def test_li_latency_meets_derived_floor(cache):
     """The CI gate: >= 90 % of the default space must be derived."""
-    points = build_space("li_latency")
+    points = get_sweep("li_latency").space()
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.derived / len(points) >= 0.9
 
 
 def test_warm_incremental_is_fully_cached_and_identical(cache):
-    points = build_space("li_latency")
+    points = get_sweep("li_latency").space()
     run_sweep(points, cache=cache, incremental=True)
     warm = run_sweep(points, cache=cache, incremental=True)
     assert warm.cache_hits == len(points)
@@ -64,7 +63,7 @@ def test_warm_incremental_is_fully_cached_and_identical(cache):
 
 def test_each_point_is_one_cache_lookup(cache):
     """Exact-then-derived lookups count as one hit or one miss."""
-    points = build_space("li_latency")
+    points = get_sweep("li_latency").space()
     cold = ResultCache(cache.root, version="trace-test")
     run_sweep(points, cache=cold, incremental=True)
     # One miss per point plus one per structural base's trace.
@@ -76,11 +75,11 @@ def test_each_point_is_one_cache_lookup(cache):
 
 
 def test_warm_traces_skip_recapture(cache):
-    points = build_space("li_latency")
+    points = get_sweep("li_latency").space()
     run_sweep(points, cache=cache, incremental=True)
     # New satellite points against the same structural bases: the
     # cached traces serve them without a single new simulation.
-    fresh = build_space("li_latency", capacities=(3, 5))
+    fresh = get_sweep("li_latency").space(capacities=(3, 5))
     result = run_sweep(fresh, cache=cache, incremental=True)
     assert result.captures == 0
     assert result.derived == len(fresh)
@@ -88,7 +87,7 @@ def test_warm_traces_skip_recapture(cache):
 
 
 def test_derived_entries_never_shadow_exact(cache):
-    points = build_space("li_latency")[:4]
+    points = get_sweep("li_latency").space()[:4]
     run_sweep(points, cache=cache, incremental=True)
     # A plain sweep with the same cache sees only exact keys: the
     # derived entries must be invisible to it.
@@ -103,7 +102,7 @@ def test_derived_entries_never_shadow_exact(cache):
 
 
 def test_stall_verification_falls_back_with_recorded_reasons(cache):
-    points = build_space("stall_verification", trials=2)
+    points = get_sweep("stall_verification").space(trials=2)
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.canonical() == _canonical(points)
     # No replay adapter: the classifier labels every point for full
@@ -149,7 +148,7 @@ register_sweep(SweepSpec(
 
 def test_ineligible_capture_falls_back_with_recorded_reasons(cache):
     points = [replace(p, experiment=_INELIGIBLE)
-              for p in build_space("stall_verification", trials=2)]
+              for p in get_sweep("stall_verification").space(trials=2)]
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.canonical() == _canonical(points)
     # Statically derivable, dynamically refused: the one capture runs,
@@ -167,7 +166,7 @@ def test_ineligible_capture_falls_back_with_recorded_reasons(cache):
 
 
 def test_gals_overhead_is_analytically_derived(cache):
-    points = build_space("gals_overhead")
+    points = get_sweep("gals_overhead").space()
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.canonical() == _canonical(points)
     assert result.derived == len(points)
@@ -175,7 +174,7 @@ def test_gals_overhead_is_analytically_derived(cache):
 
 
 def test_experiment_without_adapter_falls_back(cache):
-    points = build_space("fig3_crossbar", ports=(2,), txns_per_port=6)
+    points = get_sweep("fig3_crossbar").space(ports=(2,), txns_per_port=6)
     result = run_sweep(points, cache=cache, incremental=True)
     assert result.canonical() == _canonical(points)
     assert result.derived == 0 and result.executed == len(points)
@@ -200,7 +199,7 @@ def _catalog_sweeps():
 @pytest.mark.parametrize("name", _catalog_sweeps())
 def test_every_registered_sweep_is_identical_plain_and_incremental(
         name, jobs, tmp_path):
-    space = build_space(name, **_SLICE_OPTS.get(name, {}))
+    space = get_sweep(name).space(**_SLICE_OPTS.get(name, {}))
     points = space[::max(1, len(space) // 6)]
     plain = run_sweep(points, jobs=jobs, telemetry=False)
     incremental = run_sweep(
@@ -211,20 +210,21 @@ def test_every_registered_sweep_is_identical_plain_and_incremental(
 
 
 def test_incremental_requires_single_experiment(cache):
-    mixed = build_space("li_latency")[:1] + build_space("gals_overhead")[:1]
+    mixed = (get_sweep("li_latency").space()[:1]
+             + get_sweep("gals_overhead").space()[:1])
     with pytest.raises(ValueError, match="single experiment"):
         run_sweep(mixed, cache=cache, incremental=True)
 
 
 def test_incremental_without_cache_still_works():
-    points = build_space("li_latency")[:6]
+    points = get_sweep("li_latency").space()[:6]
     result = run_sweep(points, incremental=True)
     assert result.canonical() == _canonical(points)
     assert result.derived == len(points)
 
 
 def test_payload_reports_modes_and_fallbacks(cache):
-    points = build_space("li_latency")[:4]
+    points = get_sweep("li_latency").space()[:4]
     payload = run_sweep(points, cache=cache,
                         incremental=True).to_payload()
     assert payload["incremental"] is True
